@@ -19,6 +19,7 @@ from .errors import (
     TooLargeError,
 )
 from .flows import (
+    PlacementTable,
     flows_to_schedule,
     load_profile,
     load_profile_from_schedule,
@@ -53,7 +54,6 @@ from .objectives import (
     default_cost_coefficients,
     energy_cost,
     par,
-    placement_matrix,
 )
 from .oracle import DEFAULT_LIMIT, OracleResult, brute_force, resolve_workers
 from .relaxation import (

@@ -5,6 +5,10 @@ A flow configuration is an ``(n_users, horizon)`` float matrix whose entry
 row encodes a concrete schedule; fractional rows arise only inside the convex
 relaxation. Relaxed feasibility requires each row to be a probability vector
 supported on the user's feasible start set.
+
+Every "place user n's pattern at start s" result comes from one
+:class:`PlacementTable`, built per call and shared by the load profiles, the
+cost derivatives, the relaxation's packing and SCR's polish.
 """
 
 from __future__ import annotations
@@ -14,12 +18,47 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleFlowError, NotIntegralError
-from .model import ProblemInstance, start_sets
+from .model import ProblemInstance, instance_total_energy, start_sets
 
 #: Absolute tolerance for row sums and out-of-window zeros. Interior-point
 #: output is never exactly feasible; callers validating solver output pass a
 #: looser value.
 FEASIBILITY_TOL = 1e-9
+
+
+class PlacementTable:
+    """Load rows of every (user, start) placement of one instance.
+
+    ``rows[n, s]`` is the per-slot load of user n's pattern started at slot s
+    (wrapping modulo the horizon), for every s, feasible or not; ``users`` and
+    ``starts`` list the feasible pairs, user by user in window order, so
+    ``rows[users, starts]`` holds one row per flow variable. The table also
+    carries the cost coefficients as an array and the instance's total energy.
+    """
+
+    def __init__(self, instance: ProblemInstance):
+        horizon = instance.horizon
+        self.start_sets = start_sets(instance)
+        padded = np.zeros((instance.n_users, horizon))
+        for n, appliance in enumerate(instance.appliances):
+            padded[n, : appliance.duration] = appliance.energy_pattern
+        # rows[n, s, h] = pattern_n[(h - s) % horizon]
+        offsets = (np.arange(horizon)[None, :] - np.arange(horizon)[:, None]) % horizon
+        self.rows = padded[:, offsets]
+        self.users = np.repeat(
+            np.arange(instance.n_users), [len(s) for s in self.start_sets]
+        )
+        self.starts = np.concatenate(self.start_sets).astype(np.intp)
+        self.coefficients = np.asarray(instance.cost_coefficients)
+        self.total_energy = instance_total_energy(instance)
+
+    def flow_loads(self, flows: np.ndarray) -> np.ndarray:
+        """Per-slot load of a flow matrix; only in-window entries count."""
+        return flows[self.users, self.starts] @ self.rows[self.users, self.starts]
+
+    def schedule_loads(self, starts: Sequence[int]) -> np.ndarray:
+        """Per-slot load of one start per user, summed in user order."""
+        return self.rows[np.arange(len(starts)), list(starts)].sum(axis=0)
 
 
 def validate_schedule(instance: ProblemInstance, schedule: Sequence[int]) -> tuple[int, ...]:
@@ -134,17 +173,7 @@ def load_profile(
     Each unit of flow at (n, s) deposits the user's energy pattern on the
     ``duration`` slots starting at s (wrapping modulo the horizon).
     """
-    f = validate_flows(instance, flows, tol=tol)
-    horizon = instance.horizon
-    loads = np.zeros(horizon)
-    for n, appliance in enumerate(instance.appliances):
-        pattern = np.asarray(appliance.energy_pattern)
-        for s in start_sets(instance)[n]:
-            w = f[n, s]
-            if w != 0.0:
-                slots = (s + np.arange(appliance.duration)) % horizon
-                loads[slots] += w * pattern
-    return loads
+    return PlacementTable(instance).flow_loads(validate_flows(instance, flows, tol=tol))
 
 
 def load_profile_from_schedule(
@@ -152,9 +181,4 @@ def load_profile_from_schedule(
 ) -> np.ndarray:
     """Per-slot total load for a concrete schedule (one start per user)."""
     starts = validate_schedule(instance, schedule)
-    horizon = instance.horizon
-    loads = np.zeros(horizon)
-    for appliance, s in zip(instance.appliances, starts):
-        slots = (s + np.arange(appliance.duration)) % horizon
-        loads[slots] += np.asarray(appliance.energy_pattern)
-    return loads
+    return PlacementTable(instance).schedule_loads(starts)

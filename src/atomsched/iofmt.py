@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from typing import Mapping, Sequence
 
 from .catalog import DEFAULT_CATALOG, CatalogEntry, catalog_appliance
@@ -210,10 +211,21 @@ def serialize_instance(instance: ProblemInstance) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Write through a private temporary file beside ``path``, then rename it
+    over ``path``; on any error the temporary file is removed."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        # mkstemp creates the file owner-only; give it a plain open()'s mode
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_instance_file(

@@ -188,6 +188,11 @@ def solve_standard_form(
             x = x + alpha_p * dx
             y = y + alpha_d * dy
             z = z + alpha_d * dz
+            if not all(np.isfinite(v).all() for v in (x, y, z)):
+                # a non-finite iterate never recovers: stop instead of
+                # iterating on NaN up to the limit
+                status = "numerical_failure"
+                break
     except np.linalg.LinAlgError:
         status = "numerical_failure"
 

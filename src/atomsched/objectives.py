@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from .errors import InvalidInstanceError
-from .flows import FEASIBILITY_TOL, load_profile
+from .flows import FEASIBILITY_TOL, PlacementTable, validate_flows
 from .model import ProblemInstance
 
 
@@ -52,13 +52,6 @@ def par(loads: np.ndarray, total_energy: float, horizon: int) -> float:
     return float(horizon * loads.max() / total_energy)
 
 
-def _padded_pattern(appliance, horizon: int) -> np.ndarray:
-    """Energy pattern extended with zeros to one full day of offsets."""
-    padded = np.zeros(horizon)
-    padded[: appliance.duration] = appliance.energy_pattern
-    return padded
-
-
 def cost_gradient(
     instance: ProblemInstance, flows: np.ndarray, tol: float = FEASIBILITY_TOL
 ) -> np.ndarray:
@@ -68,41 +61,18 @@ def cost_gradient(
     over the operating offsets d. Entries at starts outside the feasible start
     set are computed by the same formula; the solver never uses them.
     """
-    horizon = instance.horizon
-    loads = load_profile(instance, flows, tol=tol)
-    weighted = np.asarray(instance.cost_coefficients) * loads
-    grad = np.zeros((instance.n_users, horizon))
-    for n, appliance in enumerate(instance.appliances):
-        pattern = np.asarray(appliance.energy_pattern)
-        # slots[s, d] = slot hit at offset d when starting at s
-        slots = (np.arange(horizon)[:, None] + np.arange(appliance.duration)) % horizon
-        grad[n] = 2.0 * (pattern[None, :] * weighted[slots]).sum(axis=1)
-    return grad
-
-
-def placement_matrix(instance: ProblemInstance) -> np.ndarray:
-    """Dense (horizon, n_users * horizon) matrix mapping flows to loads.
-
-    Column ``n * horizon + s`` holds the energy deposited in each slot by one
-    unit of flow for user n starting at s. ``loads = placement @ flows.ravel()``.
-    """
-    horizon = instance.horizon
-    cols = []
-    for appliance in instance.appliances:
-        padded = _padded_pattern(appliance, horizon)
-        # column for start s is the pattern rolled forward by s
-        block = np.stack([np.roll(padded, s) for s in range(horizon)], axis=1)
-        cols.append(block)
-    return np.concatenate(cols, axis=1)
+    table = PlacementTable(instance)
+    loads = table.flow_loads(validate_flows(instance, flows, tol=tol))
+    return 2.0 * (table.rows @ (table.coefficients * loads))
 
 
 def cost_hessian(instance: ProblemInstance) -> np.ndarray:
     """Hessian of the cost objective over all (user, start) variables.
 
     The objective is quadratic in the flows, so the Hessian is constant:
-    ``2 * P.T @ diag(a) @ P`` with P the placement matrix. Rows and columns are
-    indexed by ``n * horizon + s``.
+    ``2 * R @ diag(a) @ R.T`` with R the placement rows of every (user, start)
+    pair. Rows and columns are indexed by ``n * horizon + s``.
     """
-    placement = placement_matrix(instance)
-    weights = np.asarray(instance.cost_coefficients)
-    return 2.0 * placement.T @ (weights[:, None] * placement)
+    table = PlacementTable(instance)
+    rows = table.rows.reshape(-1, instance.horizon)
+    return 2.0 * rows @ (table.coefficients[:, None] * rows.T)

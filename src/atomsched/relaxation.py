@@ -17,9 +17,9 @@ from typing import Collection
 import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
-from .flows import validate_flows
+from .flows import PlacementTable, validate_flows
 from .ipm import solve_standard_form
-from .model import ProblemInstance, instance_total_energy, start_sets
+from .model import ProblemInstance, instance_total_energy
 from .objectives import ObjectiveKind
 
 #: Solver output within this distance outside [0, 1] is clamped onto the box
@@ -69,51 +69,36 @@ class RelaxedSolution:
 
 
 class _Packing:
-    """Column layout for the undropped, in-window flow variables."""
+    """Column layout for the undropped, in-window flow variables: one column
+    per (user, start), user by user in window order."""
 
     def __init__(self, instance: ProblemInstance, dropped: Collection[tuple[int, int]]):
-        sets_ = start_sets(instance)
+        table = PlacementTable(instance)
         dropped = frozenset((int(n), int(s)) for n, s in dropped)
         for n, s in dropped:
-            if not 0 <= n < instance.n_users or s not in sets_[n]:
+            if not 0 <= n < instance.n_users or s not in table.start_sets[n]:
                 raise InvalidInstanceError(
                     f"drop ({n}, {s}) does not name a feasible start variable"
                 )
-        self.columns: list[tuple[int, int]] = []
-        self.row_slices: list[slice] = []
-        for n in range(instance.n_users):
-            first = len(self.columns)
-            for s in sets_[n]:
-                if (n, s) not in dropped:
-                    self.columns.append((n, s))
-            if len(self.columns) == first:
-                raise InvalidInstanceError(
-                    f"user {n} has no undropped start left"
-                )
-            self.row_slices.append(slice(first, len(self.columns)))
-        self.n_var = len(self.columns)
-
-        horizon = instance.horizon
-        self.loads_of = np.zeros((horizon, self.n_var))
-        for j, (n, s) in enumerate(self.columns):
-            appliance = instance.appliances[n]
-            slots = (s + np.arange(appliance.duration)) % horizon
-            self.loads_of[slots, j] = appliance.energy_pattern
-
+        pairs = zip(table.users.tolist(), table.starts.tolist())
+        live = np.array([pair not in dropped for pair in pairs])
+        self.users, self.starts = table.users[live], table.starts[live]
+        self.per_user = np.bincount(self.users, minlength=instance.n_users)
+        if not self.per_user.all():
+            raise InvalidInstanceError(
+                f"user {int(np.argmin(self.per_user))} has no undropped start left"
+            )
+        self.n_var = len(self.users)
+        self.loads_of = np.ascontiguousarray(table.rows[self.users, self.starts].T)
         self.simplex = np.zeros((instance.n_users, self.n_var))
-        for n, sl in enumerate(self.row_slices):
-            self.simplex[n, sl] = 1.0
+        self.simplex[self.users, np.arange(self.n_var)] = 1.0
 
     def uniform_start(self) -> np.ndarray:
-        x0 = np.empty(self.n_var)
-        for sl in self.row_slices:
-            x0[sl] = 1.0 / (sl.stop - sl.start)
-        return x0
+        return 1.0 / self.per_user[self.users]
 
     def unpack(self, instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
         flows = np.zeros((instance.n_users, instance.horizon))
-        for j, (n, s) in enumerate(self.columns):
-            flows[n, s] = x[j]
+        flows[self.users, self.starts] = x
         np.copyto(flows, 0.0, where=(flows < 0.0) & (flows >= -CLAMP_TOL))
         np.copyto(flows, 1.0, where=(flows > 1.0) & (flows <= 1.0 + CLAMP_TOL))
         return flows

@@ -16,21 +16,24 @@ optimum. For the upper bound, every round's solution is rounded to a feasible
 schedule (per-row argmax) and refined by deterministic coordinate descent;
 the best candidate seen along the trajectory is returned. Rounding alone is
 unreliable because fractional values rank a start's usefulness for flattening
-the *relaxed* load, not its standalone cost. Every choice is deterministic,
-so identical inputs reproduce identical runs.
+the *relaxed* load, not its standalone cost. A round whose rounded schedule
+was already refined earlier in the run reuses that result, which has already
+competed for the incumbent, instead of descending again. Every choice is
+deterministic, so identical inputs reproduce identical runs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import islice, takewhile
 from typing import Sequence
 
 import numpy as np
 
 from .errors import IterationLimitError, SolverError
-from .flows import load_profile_from_schedule, validate_schedule
-from .model import ProblemInstance, instance_total_energy, start_sets
+from .flows import PlacementTable, validate_schedule
+from .model import ProblemInstance
 from .objectives import ObjectiveKind, energy_cost, par
 from .relaxation import (
     DEFAULT_SETTINGS,
@@ -89,44 +92,46 @@ class SCRResult:
 
 
 def _boolean_objective(
-    instance: ProblemInstance, objective: ObjectiveKind, schedule: Sequence[int]
+    table: PlacementTable, objective: ObjectiveKind, loads: np.ndarray
 ) -> float:
-    loads = load_profile_from_schedule(instance, schedule)
     if objective is ObjectiveKind.COST:
-        return energy_cost(loads, instance.cost_coefficients)
-    return par(loads, instance_total_energy(instance), instance.horizon)
+        return energy_cost(loads, table.coefficients)
+    return par(loads, table.total_energy, loads.shape[0])
 
 
 def polish_schedule(
-    instance: ProblemInstance, objective: ObjectiveKind, schedule: Sequence[int]
+    instance: ProblemInstance,
+    objective: ObjectiveKind,
+    schedule: Sequence[int],
+    table: PlacementTable | None = None,
 ) -> tuple[int, ...]:
     """Deterministic coordinate descent over single-start moves.
 
     Users are revisited in order; each moves to its best start given the
     others (candidates in window order, strict improvement only), until a
     full pass makes no move. The result never scores worse than the input.
+    All starts of one user are scored in one array expression; ``table`` may
+    pass in the instance's placement table to skip rebuilding it.
     """
-    sets_ = start_sets(instance)
+    if table is None:
+        table = PlacementTable(instance)
     horizon = instance.horizon
     starts = list(validate_schedule(instance, schedule))
+    candidates = [table.rows[n, list(s)] for n, s in enumerate(table.start_sets)]
     moved = True
     while moved:
         moved = False
-        for n, appliance in enumerate(instance.appliances):
-            pattern = np.asarray(appliance.energy_pattern)
-            others = load_profile_from_schedule(instance, starts)
-            others[(starts[n] + np.arange(appliance.duration)) % horizon] -= pattern
+        for n, rows in enumerate(candidates):
+            loads = table.schedule_loads(starts)
+            others = loads - table.rows[n, starts[n]]
+            placed = others + rows
+            if objective is ObjectiveKind.COST:
+                values = (placed * placed) @ table.coefficients
+            else:
+                values = horizon * placed.max(axis=1) / table.total_energy
             best_s = starts[n]
-            best_v = _boolean_objective(instance, objective, starts)
-            for s in sets_[n]:
-                candidate = others.copy()
-                candidate[(s + np.arange(appliance.duration)) % horizon] += pattern
-                if objective is ObjectiveKind.COST:
-                    value = energy_cost(candidate, instance.cost_coefficients)
-                else:
-                    value = par(
-                        candidate, instance_total_energy(instance), horizon
-                    )
+            best_v = _boolean_objective(table, objective, loads)
+            for s, value in zip(table.start_sets[n], values.tolist()):
                 if value < best_v - 1e-12:
                     best_v, best_s = value, s
             if best_s != starts[n]:
@@ -142,7 +147,8 @@ def successive_convex_relaxation(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> SCRResult:
     """Compute a Boolean schedule with matching lower/upper bounds."""
-    sets_ = start_sets(instance)
+    table = PlacementTable(instance)
+    sets_ = table.start_sets
     max_rounds = config.max_iterations
     if max_rounds is None:
         max_rounds = sum(len(s) for s in sets_)
@@ -153,6 +159,9 @@ def successive_convex_relaxation(
     lower_raw = None
     incumbent: tuple[int, ...] | None = None
     incumbent_value = np.inf
+    # rounded schedules already scored: a repeat polishes to the same
+    # candidate, which cannot beat the incumbent it already competed with
+    scored: set[tuple[int, ...]] = set()
 
     for iteration in range(1, max_rounds + 1):
         solution = solve_relaxed(instance, objective, dropped, settings)
@@ -160,24 +169,25 @@ def successive_convex_relaxation(
             lower_raw = solution.objective_value
         flows = solution.flows
 
-        integral = True
-        for n in range(instance.n_users):
-            values = flows[n, list(sets_[n])]
-            rest = np.delete(values, int(np.argmax(values)))
-            if values.max() < 1.0 - config.integral_tol:
-                integral = False
-                break
-            if rest.size and rest.max() > config.zero_tol:
-                integral = False
-                break
+        # dropped and out-of-window flows are exact zeros, so whole rows
+        # test the live flows: one entry near 1, every other near 0
+        top_two = np.partition(flows, -2, axis=1)[:, -2:]
+        integral = bool(
+            np.all(top_two[:, 1] >= 1.0 - config.integral_tol)
+            and np.all(top_two[:, 0] <= config.zero_tol)
+        )
 
-        schedule = tuple(int(np.argmax(flows[n])) for n in range(instance.n_users))
-        if config.polish:
+        rounded = tuple(int(s) for s in flows.argmax(axis=1))
+        if (config.polish or integral) and rounded not in scored:
             # each round's rounded-and-descended schedule is a feasible
             # candidate; keep the best one seen along the whole trajectory
-            schedule = polish_schedule(instance, objective, schedule)
-        if config.polish or integral:
-            value = _boolean_objective(instance, objective, schedule)
+            scored.add(rounded)
+            schedule = rounded
+            if config.polish:
+                schedule = polish_schedule(instance, objective, rounded, table=table)
+            value = _boolean_objective(
+                table, objective, table.schedule_loads(schedule)
+            )
             if value < incumbent_value:
                 incumbent, incumbent_value = schedule, value
 
@@ -201,10 +211,7 @@ def successive_convex_relaxation(
         candidates: list[tuple[float, int, int]] = []
         for n in range(instance.n_users):
             live = sorted(s for s in sets_[n] if (n, s) not in dropped)
-            best_s = live[0]
-            for s in live[1:]:
-                if flows[n, s] > flows[n, best_s]:
-                    best_s = s
+            best_s = max(live, key=lambda s: flows[n, s])
             for s in live:
                 if s == best_s:
                     continue
@@ -217,13 +224,8 @@ def successive_convex_relaxation(
             )
         candidates.sort()
 
-        drops = [candidates[0]]
-        for value, n, s in candidates[1:]:
-            if len(drops) >= config.max_drops_per_iteration:
-                break
-            if value >= config.drop_threshold:
-                break
-            drops.append((value, n, s))
+        small = takewhile(lambda c: c[0] < config.drop_threshold, candidates[1:])
+        drops = [candidates[0], *islice(small, config.max_drops_per_iteration - 1)]
 
         dropped_now = tuple((n, s) for _, n, s in drops)
         dropped.update(dropped_now)

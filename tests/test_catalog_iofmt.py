@@ -200,3 +200,39 @@ def test_write_results_atomic(tmp_path):
     assert not os.path.exists(path + ".tmp")
     with pytest.raises(ValueError):
         a.write_results(_rows(), path, fmt="xml")
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    from atomsched.iofmt import atomic_write_text
+
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        atomic_write_text(str(path), 12345)  # not text: the write itself fails
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_atomic_writers_to_one_path_do_not_collide(tmp_path, monkeypatch):
+    from atomsched.iofmt import atomic_write_text
+
+    path = str(tmp_path / "out.csv")
+    replace = os.replace
+    nested = []
+
+    def replace_after_second_writer(src, dst):
+        # the first writer's rename waits until a second writer to the same
+        # path has finished a whole write
+        if not nested:
+            nested.append(src)
+            atomic_write_text(path, "second\n")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_second_writer)
+    atomic_write_text(path, "first\n")
+    assert open(path).read() == "first\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    mode = os.stat(path).st_mode & 0o777
+    umask = os.umask(0)
+    os.umask(umask)
+    assert mode == 0o666 & ~umask

@@ -7,6 +7,19 @@ from atomsched.errors import InvalidInstanceError
 from conftest import random_relaxed_flows
 
 
+def placement_matrix(instance):
+    """Dense (horizon, n_users * horizon) matrix mapping flows to loads, built
+    independently of the library: column ``n * horizon + s`` is user n's
+    pattern, zero-padded to a day and rolled forward by s."""
+    horizon = instance.horizon
+    cols = []
+    for appliance in instance.appliances:
+        padded = np.zeros(horizon)
+        padded[: appliance.duration] = appliance.energy_pattern
+        cols.append(np.stack([np.roll(padded, s) for s in range(horizon)], axis=1))
+    return np.concatenate(cols, axis=1)
+
+
 def quadratic_cost_of(instance, flows):
     """Cost as a plain quadratic in arbitrary flow matrices (no feasibility).
 
@@ -14,7 +27,7 @@ def quadratic_cost_of(instance, flows):
     also deposit load; on (at or near) feasible flows this agrees with
     energy_cost(load_profile(...)) because those entries are zero.
     """
-    loads = a.placement_matrix(instance) @ np.asarray(flows).ravel()
+    loads = placement_matrix(instance) @ np.asarray(flows).ravel()
     return a.energy_cost(loads, instance.cost_coefficients)
 
 
@@ -28,6 +41,19 @@ def finite_difference_gradient(cost_fn, flows, step=1e-5):
             down[n, s] -= step
             grad[n, s] = (cost_fn(up) - cost_fn(down)) / (2 * step)
     return grad
+
+
+def test_placement_table_rows_match_rolled_patterns():
+    # includes a PHEV window over midnight and starts outside every window
+    for seed in (1, 6):
+        inst = a.generate_instance(5, seed)
+        table = a.PlacementTable(inst)
+        assert np.array_equal(
+            table.rows.reshape(-1, inst.horizon).T, placement_matrix(inst)
+        )
+        assert list(zip(table.users, table.starts)) == [
+            (n, s) for n, starts in enumerate(a.start_sets(inst)) for s in starts
+        ]
 
 
 def test_default_coefficients_two_tier():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import atomsched as a
@@ -161,3 +163,51 @@ def test_sweep_rows_and_determinism():
             row2.upper_bound,
             row2.iterations,
         )
+
+
+def stalling_par_instance():
+    """Ten constant-level appliances on the catalog's windows and durations.
+
+    At SCR round 178 the PAR relaxation converges in gap and dual residual by
+    IPM iteration 7, but its primal residual stalls near 1e-7, above the
+    tolerance; the iterates then shrink towards zero until they overflow.
+    """
+    levels = (
+        ("clothes_dryer", 0.553),
+        ("washing_machine_energy_star", 0.4695),
+        ("dish_washer", 0.6283),
+        ("dish_washer", 0.6246),
+        ("clothes_dryer", 0.6719),
+        ("phev", 3.3838),
+        ("phev", 3.6123),
+        ("washing_machine_regular", 0.5925),
+        ("washing_machine_energy_star", 0.5186),
+        ("washing_machine_regular", 0.7029),
+    )
+    appliances = []
+    for k, (key, level) in enumerate(levels):
+        entry = a.DEFAULT_CATALOG[key]
+        window = (entry.window_start, entry.window_end, entry.duration)
+        appliances.append(a.Appliance.constant(f"{key}_{k}", *window, level))
+    return a.ProblemInstance(24, appliances, a.default_cost_coefficients())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_relaxed_solve_stops_at_first_non_finite_iterate():
+    limit = a.SolverSettings().max_solver_iterations
+    with pytest.raises(a.SolverError, match=r"numerical_failure") as info:
+        a.successive_convex_relaxation(stalling_par_instance(), PAR)
+    iterations = int(re.search(r"after (\d+) iterations", str(info.value)).group(1))
+    assert iterations < limit
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.xfail(
+    strict=True,
+    raises=a.SolverError,
+    reason="the round-178 PAR relaxation stalls; a lower bound certified for "
+    "loose iterates would let SCR go on",
+)
+def test_scr_par_completes_on_stalling_instance():
+    result = a.successive_convex_relaxation(stalling_par_instance(), PAR)
+    assert result.lower_bound <= result.upper_bound + 1e-6
