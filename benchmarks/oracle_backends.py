@@ -61,7 +61,7 @@ def main():
                 f" | speedup x{t_np / t_nb:.1f} | results identical: {match}"
             )
         else:
-            line += " | numba unavailable (disabled or not installed)"
+            line += " | numba not installed: only the numpy kernel runs"
         print(line)
 
 

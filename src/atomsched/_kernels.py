@@ -1,52 +1,48 @@
 """Enumeration kernels: scan a contiguous range of joint schedules.
 
 Joint schedules are indexed in mixed-radix order (user 0 is the most
-significant digit; each digit selects a start from the user's feasible start
-tuple). Both kernels return the minimum objective over an index range and the
-first index attaining it, which makes range splits merge deterministically.
+significant digit; digit k of user n selects the user's k-th feasible start
+in window order). Both kernels return the minimum objective over an index
+range and the first index attaining it, which makes range splits merge
+deterministically.
 
-Two interchangeable implementations:
+The kernels never place a pattern themselves. They read ``placed``, an
+``(n_users, max_radix, horizon)`` array built by ``oracle.pack_instance``
+from the instance's ``flows.PlacementTable``: ``placed[n, k]`` is user n's
+whole load row at its k-th start, and rows past a user's radix are zero.
+A schedule's load is the sum of one row per user, added in user order.
 
-* a numba @njit kernel that walks the range with incremental per-user prefix
-  loads (amortized O(duration) per schedule), and
-* a chunked pure-numpy evaluator that rebuilds every schedule's load from
-  scratch.
+Two implementations of the same sum:
 
-Each prefix level is rebuilt level-by-level whenever its digit changes, so
-the float additions per slot always happen in user order: both paths produce
-bit-identical values and the scan result does not depend on how the range was
-partitioned. Set ATOMSCHED_DISABLE_NUMBA=1 to force the numpy path (the
-numpy path is also used when numba is not installed).
+* ``_scan_range_sequential``, which numba @njit-compiles whenever numba can
+  be imported. It walks the range keeping per-user prefix loads and rebuilds
+  each level from the one above whenever its digit changes;
+* ``scan_range_numpy``, a chunked evaluator that rebuilds every schedule's
+  load from scratch (used when numba is not installed).
+
+Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
+terms of every slot are added in user order in both paths, so they give
+bit-identical values and the scan result does not depend on how the range
+was partitioned.
 
 Objective codes: 0 = quadratic cost (cents), 1 = peak-to-average ratio.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 COST = 0
 PAR = 1
 
-_DISABLE_ENV = "ATOMSCHED_DISABLE_NUMBA"
 _NUMPY_CHUNK = 1 << 15
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get(_DISABLE_ENV, "").strip().lower() in {"1", "true", "yes"}
 
 
 def scan_range_numpy(
     lo: int,
     hi: int,
     radices: np.ndarray,
-    starts_flat: np.ndarray,
-    starts_off: np.ndarray,
-    gammas_flat: np.ndarray,
-    gamma_off: np.ndarray,
-    durations: np.ndarray,
+    placed: np.ndarray,
     horizon: int,
     coeffs: np.ndarray,
     mode: int,
@@ -65,12 +61,8 @@ def scan_range_numpy(
             digits[n] = rem % radices[n]
             rem //= radices[n]
         loads = np.zeros((count, horizon))
-        rows = np.arange(count)[:, None]
         for n in range(n_users):
-            s = starts_flat[starts_off[n] + digits[n]]
-            d = int(durations[n])
-            cols = (s[:, None] + np.arange(d, dtype=np.int64)[None, :]) % horizon
-            loads[rows, cols] += gammas_flat[gamma_off[n] : gamma_off[n] + d][None, :]
+            loads += placed[n][digits[n]]
         if mode == COST:
             vals = np.zeros(count)
             for h in range(horizon):
@@ -87,20 +79,7 @@ def scan_range_numpy(
     return best_val, best_idx
 
 
-def _scan_range_sequential(
-    lo,
-    hi,
-    radices,
-    starts_flat,
-    starts_off,
-    gammas_flat,
-    gamma_off,
-    durations,
-    horizon,
-    coeffs,
-    mode,
-    total_energy,
-):
+def _scan_range_sequential(lo, hi, radices, placed, horizon, coeffs, mode, total_energy):
     n_users = radices.shape[0]
     digits = np.empty(n_users, dtype=np.int64)
     rem = lo
@@ -108,20 +87,17 @@ def _scan_range_sequential(
         digits[n] = rem % radices[n]
         rem //= radices[n]
 
-    # prefix[n] = load of users 0..n-1; level n+1 is rebuilt from level n
-    # whenever digit n changes, keeping per-slot additions in user order
+    # prefix[m] = load of users 0..m-1; levels n+1.. are rebuilt from level n
+    # after digit n changes (all of them for the first schedule)
     prefix = np.zeros((n_users + 1, horizon))
-    for m in range(n_users):
-        for h in range(horizon):
-            prefix[m + 1, h] = prefix[m, h]
-        s = starts_flat[starts_off[m] + digits[m]]
-        for d in range(durations[m]):
-            prefix[m + 1, (s + d) % horizon] += gammas_flat[gamma_off[m] + d]
-
     best_val = np.inf
     best_idx = np.int64(-1)
     idx = lo
+    n = 0
     while True:
+        for m in range(n, n_users):
+            for h in range(horizon):
+                prefix[m + 1, h] = prefix[m, h] + placed[m, digits[m], h]
         if mode == COST:
             val = 0.0
             for h in range(horizon):
@@ -143,36 +119,24 @@ def _scan_range_sequential(
             digits[n] = 0
             n -= 1
         digits[n] += 1
-        for m in range(n, n_users):
-            for h in range(horizon):
-                prefix[m + 1, h] = prefix[m, h]
-            s = starts_flat[starts_off[m] + digits[m]]
-            for d in range(durations[m]):
-                prefix[m + 1, (s + d) % horizon] += gammas_flat[gamma_off[m] + d]
     return best_val, best_idx
 
 
 try:
-    if _numba_disabled():
-        raise ImportError("numba disabled via environment")
     import numba
-
-    scan_range_numba = numba.njit(cache=True, nogil=True)(_scan_range_sequential)
-    NUMBA_AVAILABLE = True
 except ImportError:
     scan_range_numba = None
-    NUMBA_AVAILABLE = False
-
-USE_NUMBA = NUMBA_AVAILABLE
+else:
+    scan_range_numba = numba.njit(cache=True, nogil=True)(_scan_range_sequential)
 
 
 def active_backend() -> str:
-    return "numba" if USE_NUMBA and scan_range_numba is not None else "numpy"
+    return "numpy" if scan_range_numba is None else "numba"
 
 
 def scan_range(lo: int, hi: int, *args) -> tuple[float, int]:
-    """Dispatch one range scan to the active backend."""
-    if USE_NUMBA and scan_range_numba is not None:
-        val, idx = scan_range_numba(lo, hi, *args)
-        return float(val), int(idx)
-    return scan_range_numpy(lo, hi, *args)
+    """Scan one range with the numba kernel when numba is installed, else numpy."""
+    if scan_range_numba is None:
+        return scan_range_numpy(lo, hi, *args)
+    val, idx = scan_range_numba(lo, hi, *args)
+    return float(val), int(idx)

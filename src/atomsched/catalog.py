@@ -74,9 +74,15 @@ def generate_instance(
     """Draw ``n_users`` appliances uniformly (with replacement) from the catalog.
 
     All randomness comes from ``numpy.random.default_rng(seed)``, so the same
-    (n_users, seed, catalog) always produces the identical instance.
+    (n_users, seed, catalog) always produces the identical instance. The
+    default catalog's windows and durations are in hourly slots, so it only
+    accepts horizon 24.
     """
     catalog = DEFAULT_CATALOG if catalog is None else catalog
+    if catalog is DEFAULT_CATALOG and horizon != 24:
+        raise InvalidInstanceError(
+            f"the default catalog has hourly slots (horizon 24), got horizon {horizon}"
+        )
     if n_users < 1:
         raise InvalidInstanceError(f"n_users must be >= 1, got {n_users}")
     if not catalog:

@@ -149,7 +149,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    instance = generate_instance(args.n, args.seed, horizon=args.horizon)
+    instance = generate_instance(args.n, args.seed)
     write_instance_file(instance, args.out)
     print(f"wrote {args.out} ({args.n} appliances, seed {args.seed})")
     return 0
@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="number of appliances")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--horizon", type=int, default=24)
     gen.set_defaults(func=_cmd_gen)
 
     bench = sub.add_parser("bench", help="bound/gap/iteration sweep to CSV or JSON")

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import TooLargeError
+from .flows import PlacementTable
 from .model import (
     ProblemInstance,
     enumeration_size,
@@ -42,25 +43,32 @@ class OracleResult:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for parallel scans, capped by ATOMSCHED_MAX_WORKERS."""
+    """Worker count for parallel scans, capped by ATOMSCHED_MAX_WORKERS.
+
+    The cap must be an integer >= 1; anything else raises ValueError.
+    """
     workers = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get(WORKER_CAP_ENV, "").strip()
     if cap:
+        if not cap.isdigit() or int(cap) < 1:
+            raise ValueError(f"{WORKER_CAP_ENV} must be an integer >= 1, got {cap!r}")
         workers = min(workers, int(cap))
     return max(1, workers)
 
 
 def pack_instance(instance: ProblemInstance):
-    """Flatten start sets and energy patterns into kernel-ready arrays."""
-    sets_ = start_sets(instance)
-    radices = np.asarray([len(s) for s in sets_], dtype=np.int64)
-    starts_flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in sets_])
-    starts_off = np.concatenate([[0], np.cumsum(radices[:-1])]).astype(np.int64)
-    gammas = [np.asarray(a.energy_pattern) for a in instance.appliances]
-    durations = np.asarray([a.duration for a in instance.appliances], dtype=np.int64)
-    gammas_flat = np.concatenate(gammas)
-    gamma_off = np.concatenate([[0], np.cumsum(durations[:-1])]).astype(np.int64)
-    return radices, starts_flat, starts_off, gammas_flat, gamma_off, durations
+    """Kernel inputs: the radices and the placement rows of every digit.
+
+    ``placed[n, k]`` is ``PlacementTable(instance).rows[n, start_sets[n][k]]``,
+    user n's load row at its k-th start; users with fewer starts than the
+    largest radix are padded with zero rows.
+    """
+    table = PlacementTable(instance)
+    radices = np.asarray([len(s) for s in table.start_sets], dtype=np.int64)
+    placed = np.zeros((instance.n_users, int(radices.max()), instance.horizon))
+    for n, starts in enumerate(table.start_sets):
+        placed[n, : len(starts)] = table.rows[n, list(starts)]
+    return radices, placed
 
 
 def _decode_schedule(instance: ProblemInstance, index: int) -> tuple[int, ...]:

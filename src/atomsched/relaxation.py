@@ -40,15 +40,10 @@ class SolverStatus(enum.Enum):
 class SolverSettings:
     tolerance: float = 1e-8
     max_solver_iterations: int = 200
-    #: "interior-point" is the reference backend for both objectives;
-    #: "highs" delegates the peak LP to scipy's linprog.
-    backend: str = "interior-point"
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be > 0")
-        if self.backend not in ("interior-point", "highs"):
-            raise ValueError(f"unknown backend {self.backend!r}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -109,7 +104,7 @@ def _finish(instance, packing, result, objective_value) -> RelaxedSolution:
         raise SolverError(
             f"relaxed solve failed ({result.status}) after {result.iterations} iterations"
         )
-    flows = packing.unpack(instance, result.x)
+    flows = packing.unpack(instance, result.x[: packing.n_var])
     try:
         validate_flows(instance, flows, tol=SOLUTION_FEASIBILITY_TOL)
     except Exception as exc:
@@ -129,10 +124,6 @@ def solve_relaxed_cost(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RelaxedSolution:
     """Minimize the quadratic energy cost over the relaxed flow polytope."""
-    if settings.backend != "interior-point":
-        raise ValueError(
-            f"backend {settings.backend!r} only supports the PAR relaxation"
-        )
     packing = _Packing(instance, dropped)
     weights = np.asarray(instance.cost_coefficients)
     result = solve_standard_form(
@@ -161,9 +152,6 @@ def solve_relaxed_par(
     never part of any drop set.
     """
     packing = _Packing(instance, dropped)
-    if settings.backend == "highs":
-        return _solve_par_highs(instance, packing, settings)
-
     horizon = instance.horizon
     n_users = instance.n_users
     m = packing.n_var
@@ -194,43 +182,7 @@ def solve_relaxed_par(
         tolerance=settings.tolerance,
         max_iterations=settings.max_solver_iterations,
     )
-    peak = float(result.x[m])
-    trimmed = _FlowView(result.x[:m], result.status, result.iterations)
-    return _finish(instance, packing, trimmed, peak)
-
-
-@dataclass(frozen=True)
-class _FlowView:
-    """Solver result restricted to the flow variables."""
-
-    x: np.ndarray
-    status: str
-    iterations: int
-
-
-def _solve_par_highs(instance, packing, settings) -> RelaxedSolution:
-    from scipy.optimize import linprog
-
-    horizon = instance.horizon
-    m = packing.n_var
-    cost = np.zeros(m + 1)
-    cost[m] = 1.0
-    # loads - peak <= 0 for every slot
-    a_ub = np.hstack([packing.loads_of, -np.ones((horizon, 1))])
-    a_eq = np.hstack([packing.simplex, np.zeros((instance.n_users, 1))])
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.zeros(horizon),
-        A_eq=a_eq,
-        b_eq=np.ones(instance.n_users),
-        bounds=[(0.0, None)] * (m + 1),
-        method="highs",
-    )
-    if not res.success:
-        raise SolverError(f"highs backend failed: {res.message}")
-    trimmed = _FlowView(np.asarray(res.x[:m]), "optimal", int(res.nit))
-    return _finish(instance, packing, trimmed, float(res.x[m]))
+    return _finish(instance, packing, result, float(result.x[m]))
 
 
 def solve_relaxed(

@@ -61,6 +61,16 @@ def test_generate_instance_errors():
         a.generate_instance(2, 1, catalog={})
 
 
+def test_default_catalog_requires_hourly_horizon():
+    with pytest.raises(InvalidInstanceError, match="horizon 96"):
+        a.generate_instance(3, 1, horizon=96)
+    with pytest.raises(InvalidInstanceError, match="horizon 12"):
+        a.generate_instance(3, 1, catalog=a.DEFAULT_CATALOG, horizon=12)
+    quarter_hours = {"kettle": a.CatalogEntry.constant("kettle", 28, 35, 1, 0.5)}
+    inst = a.generate_instance(2, 1, catalog=quarter_hours, horizon=96)
+    assert inst.horizon == 96 and len(inst.cost_coefficients) == 96
+
+
 def test_round_trip_generated_instances():
     for seed in (1, 7, 19):
         inst = a.generate_instance(4, seed)

@@ -63,6 +63,22 @@ def test_enumerate_too_large_exit_code(tmp_path, capsys):
     assert str(24**100) in err
 
 
+def test_enumerate_rejects_bad_worker_cap(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, [a.catalog_appliance("dish_washer")])
+    monkeypatch.setenv("ATOMSCHED_MAX_WORKERS", "0")
+    assert main(["enumerate", path]) == 1
+    assert "ATOMSCHED_MAX_WORKERS must be an integer >= 1, got '0'" in capsys.readouterr().err
+
+
+def test_gen_has_no_horizon_option(tmp_path, capsys):
+    out = str(tmp_path / "gen.json")
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--n", "3", "--seed", "1", "--out", out, "--horizon", "96"])
+    assert info.value.code == 1
+    assert "--horizon" in capsys.readouterr().err
+    assert not (tmp_path / "gen.json").exists()
+
+
 def test_gen_then_solve_round_trip(tmp_path, capsys):
     out = str(tmp_path / "gen.json")
     assert main(["gen", "--n", "3", "--seed", "42", "--out", out]) == 0

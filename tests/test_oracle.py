@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -41,15 +42,51 @@ def test_matches_independent_enumeration(objective, seed):
     a.validate_schedule(inst, result.schedule)
 
 
-@pytest.mark.parametrize("objective", [COST, PAR])
-def test_numpy_fallback_matches_numba(objective, monkeypatch):
-    inst = a.generate_instance(4, 6)
-    with_numba = a.brute_force(inst, objective)
-    monkeypatch.setattr(_kernels, "USE_NUMBA", False)
-    without = a.brute_force(inst, objective)
-    assert without.objective_value == with_numba.objective_value  # bit-identical
-    assert without.schedule == with_numba.schedule
-    assert without.evaluations == with_numba.evaluations
+def kernel_instances():
+    # a non-constant pattern whose window and late starts wrap past midnight
+    ramp = a.Appliance("ramp", 20, 27, 3, (0.5, 1.5, 1.0))
+    short = a.Appliance("short", 2, 5, 2, (2.0, 0.25))
+    five_slots = [
+        a.Appliance("a", 3, 7, 2, (1.0, 3.0)),
+        a.Appliance("b", 1, 3, 3, (0.5, 2.0, 1.0)),  # duration equals window
+        a.Appliance("c", 0, 4, 1, (0.75,)),
+    ]
+    return [
+        a.generate_instance(3, 4),  # includes the PHEV's 22..29 window
+        a.ProblemInstance(
+            24, [ramp, short, a.catalog_appliance("phev")], a.default_cost_coefficients()
+        ),
+        a.ProblemInstance(5, five_slots, (1.0, 0.0, 2.0, 0.5, 1.0)),
+    ]
+
+
+def test_pack_instance_reads_the_placement_table():
+    for inst in kernel_instances():
+        table = a.PlacementTable(inst)
+        radices, placed = pack_instance(inst)
+        assert radices.tolist() == [len(s) for s in a.start_sets(inst)]
+        assert placed.shape == (inst.n_users, radices.max(), inst.horizon)
+        for n, starts in enumerate(a.start_sets(inst)):
+            assert np.array_equal(placed[n, : len(starts)], table.rows[n, list(starts)])
+            assert not placed[n, len(starts) :].any()
+
+
+@pytest.mark.parametrize("mode", [_kernels.COST, _kernels.PAR], ids=["cost", "par"])
+def test_numpy_kernel_matches_sequential_kernel(mode):
+    """The numpy kernel against the source numba compiles, run as plain
+    Python, and against the compiled kernel when numba is installed."""
+    sequential = [_kernels._scan_range_sequential]
+    if _kernels.scan_range_numba is not None:
+        sequential.append(_kernels.scan_range_numba)
+    for inst in kernel_instances():
+        coeffs = np.asarray(inst.cost_coefficients)
+        args = (*pack_instance(inst), inst.horizon, coeffs, mode, instance_total_energy(inst))
+        total = a.enumeration_size(inst)
+        for lo, hi in ((0, total), (total // 3, 2 * total // 3 + 1), (total - 1, total)):
+            expected = _kernels.scan_range_numpy(lo, hi, *args)
+            for kernel in sequential:
+                val, idx = kernel(lo, hi, *args)
+                assert (float(val), int(idx)) == expected  # bit-identical
 
 
 def test_dish_washer_cost_optimum(dish_washer_instance):
@@ -91,6 +128,13 @@ def test_worker_counts_agree(monkeypatch):
     monkeypatch.setenv("ATOMSCHED_MAX_WORKERS", "1")
     capped = a.brute_force(inst, COST, workers=8)
     assert capped == results[0]
+
+
+@pytest.mark.parametrize("cap", ["0", "-2", "two", "1.5"])
+def test_worker_cap_must_be_a_positive_integer(cap, monkeypatch):
+    monkeypatch.setenv("ATOMSCHED_MAX_WORKERS", cap)
+    with pytest.raises(ValueError, match=f"ATOMSCHED_MAX_WORKERS.*{re.escape(repr(cap))}"):
+        a.resolve_workers(2)
 
 
 def test_partition_independence():
