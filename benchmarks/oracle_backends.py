@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Time the enumeration kernels: numba @njit vs the pure-numpy fallback.
+"""Time the numpy split scan against the sequential enumeration kernel.
 
-The two backends are bit-identical by construction; this script checks that
-on the fly and reports throughput. Run from the repo root:
+The sequential kernel runs numba-compiled when numba is installed, else as
+plain Python, which is slow, so then it scans only the first
+--max-python-evals schedules. Both must return the same (value, index) bit
+for bit on the range they share; the script checks that, reports
+throughput, and exits non-zero if they disagree. Run from the repo root:
 
     python3 benchmarks/oracle_backends.py --n 5 --seed 7 --max-evals 2000000
 """
@@ -18,16 +21,19 @@ from atomsched.model import instance_total_energy
 from atomsched.oracle import pack_instance
 
 
-def time_scan(fn, warmups, repeats, lo, hi, args):
-    for _ in range(warmups):
-        fn(lo, min(lo + 1000, hi), *args)
+def time_scan(fn, repeats, hi, args):
     best = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = fn(lo, hi, *args)
+        val, idx = fn(0, hi, *args)
         best = min(best, time.perf_counter() - start)
+        result = (float(val), int(idx))
     return best, result
+
+
+def report(name, seconds, evals):
+    return f"{name}: {seconds:.3f}s ({evals / seconds / 1e6:.2f} M evals/s)"
 
 
 def main():
@@ -35,6 +41,7 @@ def main():
     parser.add_argument("--n", type=int, default=5, help="appliances in the instance")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--max-evals", type=int, default=2_000_000)
+    parser.add_argument("--max-python-evals", type=int, default=20_000)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
@@ -47,22 +54,25 @@ def main():
     coeffs = np.asarray(instance.cost_coefficients)
     total_energy = instance_total_energy(instance)
 
+    if _kernels.scan_range_numba is not None:
+        sequential, seq_name, seq_evals = _kernels.scan_range_numba, "numba", evals
+        _kernels.scan_range_numba(0, 1, *packed, instance.horizon, coeffs, 0, total_energy)
+    else:
+        sequential, seq_name = _kernels._scan_range_sequential, "sequential, plain Python"
+        seq_evals = min(evals, args.max_python_evals)
+
+    mismatches = 0
     for name, mode in (("cost", _kernels.COST), ("par", _kernels.PAR)):
         kargs = (*packed, instance.horizon, coeffs, mode, total_energy)
-        t_np, r_np = time_scan(_kernels.scan_range_numpy, 1, args.repeats, 0, evals, kargs)
-        line = f"[{name}] numpy: {t_np:.3f}s ({evals / t_np / 1e6:.2f} M evals/s)"
-        if _kernels.scan_range_numba is not None:
-            t_nb, r_nb = time_scan(
-                _kernels.scan_range_numba, 2, args.repeats, 0, evals, kargs
-            )
-            match = r_np[0] == r_nb[0] and r_np[1] == int(r_nb[1])
-            line += (
-                f" | numba: {t_nb:.3f}s ({evals / t_nb / 1e6:.2f} M evals/s)"
-                f" | speedup x{t_np / t_nb:.1f} | results identical: {match}"
-            )
-        else:
-            line += " | numba not installed: only the numpy kernel runs"
-        print(line)
+        t_np, r_np = time_scan(_kernels.scan_range_numpy, args.repeats, evals, kargs)
+        t_sq, r_sq = time_scan(sequential, 1 if seq_evals < evals else args.repeats, seq_evals, kargs)
+        if seq_evals < evals:
+            r_np = _kernels.scan_range_numpy(0, seq_evals, *kargs)
+        mismatches += r_sq != r_np
+        print(f"[{name}] {report('numpy split scan', t_np, evals)} | "
+              f"{report(seq_name, t_sq, seq_evals)} | identical: {r_sq == r_np}")
+    if mismatches:
+        raise SystemExit("the kernels disagree")
 
 
 if __name__ == "__main__":

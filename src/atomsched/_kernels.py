@@ -17,8 +17,11 @@ Two implementations of the same sum:
 * ``_scan_range_sequential``, which numba @njit-compiles whenever numba can
   be imported. It walks the range keeping per-user prefix loads and rebuilds
   each level from the one above whenever its digit changes;
-* ``scan_range_numpy``, a chunked evaluator that rebuilds every schedule's
-  load from scratch (used when numba is not installed).
+* ``scan_range_numpy`` (used when numba is not installed), a split scan over
+  blocks that pair a few prefix schedules with every schedule of the last
+  users. PAR is exact per block; cost is scored from prefix and suffix
+  tables, and the pairs rounding may put at the minimum are re-scored from
+  scratch in user order by ``_evaluate``.
 
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
 terms of every slot are added in user order in both paths, so they give
@@ -30,12 +33,92 @@ Objective codes: 0 = quadratic cost (cents), 1 = peak-to-average ratio.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 COST = 0
 PAR = 1
 
+#: schedules per block, which caps a block's working set at this many x horizon floats
 _NUMPY_CHUNK = 1 << 15
+
+_suffix_lock = threading.Lock()
+_suffix_memo = [None, None, None]  # last placed (kept alive), (radices, m), suffix loads
+
+
+def _loads(index, radices, placed, horizon):
+    """Load profiles of the schedules at ``index``, summed in user order."""
+    digits, rem = [], np.asarray(index, dtype=np.int64)
+    for radix in radices[::-1]:
+        digits.append(rem % radix)
+        rem = rem // radix
+    loads = np.zeros((len(rem), horizon))
+    for n, digit in enumerate(reversed(digits)):
+        loads += placed[n][digit]
+    return loads
+
+
+def _evaluate(index, radices, placed, horizon, coeffs, mode, total_energy):
+    """The canonical objective of the schedules at ``index``."""
+    loads = _loads(index, radices, placed, horizon)
+    if mode == PAR:
+        return (horizon * loads.max(axis=1)) / total_energy
+    vals = np.zeros(len(loads))
+    for h in range(horizon):
+        vals += coeffs[h] * loads[:, h] * loads[:, h]
+    return vals
+
+
+def _split_point(radices):
+    """The first suffix user m >= 1 and the suffix's joint radix, for the
+    largest suffix whose schedules fit one block; m == N when none does."""
+    m, size = len(radices), 1
+    while m > 1 and size * radices[m - 1] <= _NUMPY_CHUNK:
+        m -= 1
+        size *= int(radices[m])
+    return m, size
+
+
+def block_size(radices) -> int:
+    """Schedules per block of ``scan_range_numpy``, to cut ranges along."""
+    m, size = _split_point(radices)
+    return _NUMPY_CHUNK if m == len(radices) else size * (_NUMPY_CHUNK // size)
+
+
+def _suffix_loads(radices, placed, m, size):
+    """Slot-major suffix load table, built once per ``placed`` array and
+    shared by every range scanned over it."""
+    key = (tuple(radices.tolist()), m)
+    with _suffix_lock:
+        if _suffix_memo[0] is not placed or _suffix_memo[1] != key:
+            loads = _loads(np.arange(size), radices[m:], placed[m:], placed.shape[2])
+            _suffix_memo[:] = placed, key, np.ascontiguousarray(loads.T)
+        return _suffix_memo[2]
+
+
+def _block_peaks(prefix, radices, placed, m):
+    """Peak load of each (prefix row, suffix schedule) pair, in index order.
+
+    Slot-major loads gain one suffix user at a time, in user order, so each
+    slot sum is canonical; a new digit becomes the outer axis to keep the
+    long axis innermost. The last user is added slot by slot.
+    """
+    loads = np.ascontiguousarray(prefix.T)
+    for n in range(m, len(radices) - 1):
+        level = placed[n, : radices[n]].T[:, :, None]
+        loads = np.add(loads[:, None], level, order="C").reshape(len(loads), -1)
+    last = placed[len(radices) - 1, : radices[-1]].T
+    peaks = np.add.outer(last[0], loads[0])
+    for h in range(1, len(loads)):
+        np.maximum(peaks, np.add.outer(last[h], loads[h]), out=peaks)
+    # axes (last user, ..., user m, prefix row) back to index order
+    return peaks.reshape(*radices[m:][::-1], len(prefix)).transpose().ravel()
+
+
+def _first_min(best, index, vals):
+    k = int(np.argmin(vals))
+    return (float(vals[k]), int(index[k])) if vals[k] < best[0] else best
 
 
 def scan_range_numpy(
@@ -48,35 +131,51 @@ def scan_range_numpy(
     mode: int,
     total_energy: float,
 ) -> tuple[float, int]:
-    """Vectorized from-scratch evaluation of schedules lo..hi-1."""
-    n_users = len(radices)
-    best_val = np.inf
-    best_idx = -1
-    for c0 in range(lo, hi, _NUMPY_CHUNK):
-        c1 = min(c0 + _NUMPY_CHUNK, hi)
-        count = c1 - c0
-        rem = np.arange(c0, c1, dtype=np.int64)
-        digits = [np.empty(0)] * n_users
-        for n in range(n_users - 1, -1, -1):
-            digits[n] = rem % radices[n]
-            rem //= radices[n]
-        loads = np.zeros((count, horizon))
-        for n in range(n_users):
-            loads += placed[n][digits[n]]
-        if mode == COST:
-            vals = np.zeros(count)
-            for h in range(horizon):
-                vals += coeffs[h] * loads[:, h] * loads[:, h]
-        else:
-            peak = loads[:, 0].copy()
-            for h in range(1, horizon):
-                np.maximum(peak, loads[:, h], out=peak)
-            vals = (horizon * peak) / total_energy
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_idx = c0 + k
-    return best_val, best_idx
+    """Minimum over schedules lo..hi-1 and the first index attaining it.
+
+    Users m..N-1 (``_split_point``) form the suffix. A block pairs
+    consecutive prefix schedules with every suffix schedule, so its indices
+    are contiguous.
+    """
+    args = (radices, placed, horizon, coeffs, mode, total_energy)
+    best = (np.inf, -1)
+    m, size = _split_point(radices)
+    if m == len(radices) or hi <= lo:
+        for c0 in range(lo, hi, _NUMPY_CHUNK):
+            index = np.arange(c0, min(c0 + _NUMPY_CHUNK, hi))
+            best = _first_min(best, index, _evaluate(index, *args))
+        return best
+    if mode == COST:
+        suffix = _suffix_loads(radices, placed, m, size)
+        # einsum runs numpy's own loops: BLAS would wake its thread pool for
+        # every small block, which costs more than the product
+        suffix_cost = np.einsum("h,hs,hs->s", coeffs, suffix, suffix)
+        # scores and canonical values sum nonnegative terms with at most K
+        # roundings on any path, so each is within gamma_K of the exact cost,
+        # and a pair scoring over (1 + 4 gamma_K) times another's cannot have
+        # the lower canonical value; 8 gamma_K also covers rounding the cut
+        unit = (2 * len(radices) + horizon + 8) * np.finfo(float).eps / 2
+        cut_factor = 1 + 8 * unit / (1 - unit)
+    rows = _NUMPY_CHUNK // size
+    q_end = (hi - 1) // size + 1
+    for q0 in range(lo // size, q_end, rows):
+        prefix = _loads(np.arange(q0, min(q0 + rows, q_end)), radices[:m], placed[:m], horizon)
+        base = q0 * size
+        first = max(lo - base, 0)
+        if mode == PAR:
+            peaks = _block_peaks(prefix, radices, placed, m)[first : hi - base]
+            index = np.arange(base + first, base + first + len(peaks))
+            best = _first_min(best, index, (horizon * peaks) / total_energy)
+            continue
+        weighted = prefix * coeffs
+        scores = 2 * np.einsum("ph,hs->ps", weighted, suffix)
+        scores += np.einsum("ph,ph->p", weighted, prefix)[:, None]
+        scores += suffix_cost
+        scores = scores.ravel()[first : hi - base]
+        index = base + first + np.flatnonzero(scores <= min(scores.min(), best[0]) * cut_factor)
+        if len(index):
+            best = _first_min(best, index, _evaluate(index, *args))
+    return best
 
 
 def _scan_range_sequential(lo, hi, radices, placed, horizon, coeffs, mode, total_energy):

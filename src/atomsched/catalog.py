@@ -64,6 +64,14 @@ def catalog_appliance(
     return entry.appliance(name)
 
 
+def check_catalog_horizon(catalog: Mapping[str, CatalogEntry], horizon: int) -> None:
+    """The default catalog's windows and durations are in hourly slots."""
+    if catalog is DEFAULT_CATALOG and horizon != 24:
+        raise InvalidInstanceError(
+            f"the default catalog has hourly slots (horizon 24), got horizon {horizon}"
+        )
+
+
 def generate_instance(
     n_users: int,
     seed: int,
@@ -79,10 +87,7 @@ def generate_instance(
     accepts horizon 24.
     """
     catalog = DEFAULT_CATALOG if catalog is None else catalog
-    if catalog is DEFAULT_CATALOG and horizon != 24:
-        raise InvalidInstanceError(
-            f"the default catalog has hourly slots (horizon 24), got horizon {horizon}"
-        )
+    check_catalog_horizon(catalog, horizon)
     if n_users < 1:
         raise InvalidInstanceError(f"n_users must be >= 1, got {n_users}")
     if not catalog:

@@ -27,7 +27,7 @@ import os
 import tempfile
 from typing import Mapping, Sequence
 
-from .catalog import DEFAULT_CATALOG, CatalogEntry, catalog_appliance
+from .catalog import DEFAULT_CATALOG, CatalogEntry, catalog_appliance, check_catalog_horizon
 from .errors import InvalidInstanceError, ParseError
 from .model import Appliance, ProblemInstance
 from .objectives import default_cost_coefficients
@@ -109,7 +109,9 @@ def _parse_coefficients(raw, horizon: int) -> tuple[float, ...]:
     raise ParseError("must be a per-slot list or a tier mapping", "cost_coefficients")
 
 
-def _parse_appliance(raw, index: int, catalog: Mapping[str, CatalogEntry]) -> Appliance:
+def _parse_appliance(
+    raw, index: int, catalog: Mapping[str, CatalogEntry], horizon: int
+) -> Appliance:
     location = f"appliances[{index}]"
     if not isinstance(raw, dict):
         raise ParseError("appliance entry must be an object", location)
@@ -121,6 +123,7 @@ def _parse_appliance(raw, index: int, catalog: Mapping[str, CatalogEntry]) -> Ap
                 f"catalog reference cannot also set {sorted(extra)}", location
             )
         try:
+            check_catalog_horizon(catalog, horizon)
             return catalog_appliance(
                 raw["catalog"], raw.get("name"), catalog=catalog
             )
@@ -181,7 +184,7 @@ def parse_instance(
     if not isinstance(raw_appliances, list) or not raw_appliances:
         raise ParseError("need a non-empty appliance list", "appliances")
     appliances = tuple(
-        _parse_appliance(raw, i, catalog) for i, raw in enumerate(raw_appliances)
+        _parse_appliance(raw, i, catalog, horizon) for i, raw in enumerate(raw_appliances)
     )
     coefficients = _parse_coefficients(doc.get("cost_coefficients"), horizon)
     try:

@@ -1,11 +1,12 @@
 """Global optimization by direct enumeration of every joint schedule.
 
 This is the ground truth the relaxation bounds are validated against. The
-scan is embarrassingly parallel over contiguous mixed-radix index ranges;
-per-range results are pure functions of the range, so the merged outcome is
-identical for any worker count. Ties are broken toward the lexicographically
-smallest schedule, comparing starts by their pre-modulo window position (so a
-10 PM start orders before a midnight start of the same wrapped window).
+scan is embarrassingly parallel over contiguous mixed-radix index ranges,
+cut along the numpy kernel's blocks; per-range results are pure functions of
+the range, so the merged outcome is identical for any worker count. Ties are
+broken toward the lexicographically smallest schedule, comparing starts by
+their pre-modulo window position (so a 10 PM start orders before a midnight
+start of the same wrapped window).
 """
 
 from __future__ import annotations
@@ -45,15 +46,18 @@ class OracleResult:
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count for parallel scans, capped by ATOMSCHED_MAX_WORKERS.
 
-    The cap must be an integer >= 1; anything else raises ValueError.
+    A requested count and the cap must be integers >= 1; anything else
+    raises ValueError.
     """
+    if requested is not None and requested < 1:
+        raise ValueError(f"workers must be >= 1, got {requested}")
     workers = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get(WORKER_CAP_ENV, "").strip()
     if cap:
         if not cap.isdigit() or int(cap) < 1:
             raise ValueError(f"{WORKER_CAP_ENV} must be an integer >= 1, got {cap!r}")
         workers = min(workers, int(cap))
-    return max(1, workers)
+    return workers
 
 
 def pack_instance(instance: ProblemInstance):
@@ -107,7 +111,9 @@ def brute_force(
     if workers == 1 or total < _MIN_PARALLEL_SIZE:
         best_val, best_idx = _kernels.scan_range(0, total, *args)
     else:
-        chunk = -(-total // (workers * _CHUNKS_PER_WORKER))
+        # ranges of whole blocks, so no block is split between two ranges
+        block = _kernels.block_size(packed[0])
+        chunk = -(-total // (workers * _CHUNKS_PER_WORKER * block)) * block
         ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(

@@ -71,6 +71,17 @@ def test_default_catalog_requires_hourly_horizon():
     assert inst.horizon == 96 and len(inst.cost_coefficients) == 96
 
 
+def test_catalog_reference_requires_hourly_horizon():
+    doc = {"version": 1, "horizon": 96, "appliances": [{"catalog": "phev"}]}
+    with pytest.raises(ParseError, match=r"appliances\[0\].*horizon 96"):
+        a.parse_instance(json.dumps(doc))
+    doc["horizon"] = 24
+    assert a.parse_instance(json.dumps(doc)).appliances[0].window_start == 22
+    quarter_hours = {"kettle": a.CatalogEntry.constant("kettle", 28, 35, 1, 0.5)}
+    doc = {"version": 1, "horizon": 96, "appliances": [{"catalog": "kettle"}]}
+    assert a.parse_instance(json.dumps(doc), catalog=quarter_hours).horizon == 96
+
+
 def test_round_trip_generated_instances():
     for seed in (1, 7, 19):
         inst = a.generate_instance(4, seed)

@@ -70,6 +70,12 @@ def test_enumerate_rejects_bad_worker_cap(tmp_path, capsys, monkeypatch):
     assert "ATOMSCHED_MAX_WORKERS must be an integer >= 1, got '0'" in capsys.readouterr().err
 
 
+def test_enumerate_rejects_bad_worker_count(tmp_path, capsys):
+    path = write_instance(tmp_path, [a.catalog_appliance("dish_washer")])
+    assert main(["enumerate", path, "--workers", "-3"]) == 1
+    assert "workers must be >= 1, got -3" in capsys.readouterr().err
+
+
 def test_gen_has_no_horizon_option(tmp_path, capsys):
     out = str(tmp_path / "gen.json")
     with pytest.raises(SystemExit) as info:
