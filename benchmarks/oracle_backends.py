@@ -4,8 +4,10 @@
 The sequential kernel runs numba-compiled when numba is installed, else as
 plain Python, which is slow, so then it scans only the first
 --max-python-evals schedules. Both must return the same (value, index) bit
-for bit on the range they share; the script checks that, reports
-throughput, and exits non-zero if they disagree. Run from the repo root:
+for bit on the range they share, on an empty range and on a range that
+starts and ends inside a block of the split scan; the script checks that,
+reports throughput, and exits non-zero if they disagree. Run from the repo
+root:
 
     python3 benchmarks/oracle_backends.py --n 5 --seed 7 --max-evals 2000000
 """
@@ -61,6 +63,10 @@ def main():
         sequential, seq_name = _kernels._scan_range_sequential, "sequential, plain Python"
         seq_evals = min(evals, args.max_python_evals)
 
+    _, size = _kernels._split_point(packed[0])
+    lo = min(size // 2 + 1, total - 1)
+    edge_ranges = [(lo, lo), (lo, min(lo + seq_evals, total - 1))]
+
     mismatches = 0
     for name, mode in (("cost", _kernels.COST), ("par", _kernels.PAR)):
         kargs = (*packed, instance.horizon, coeffs, mode, total_energy)
@@ -68,9 +74,13 @@ def main():
         t_sq, r_sq = time_scan(sequential, 1 if seq_evals < evals else args.repeats, seq_evals, kargs)
         if seq_evals < evals:
             r_np = _kernels.scan_range_numpy(0, seq_evals, *kargs)
-        mismatches += r_sq != r_np
+        same = r_sq == r_np
+        for edge in edge_ranges:
+            val, idx = sequential(*edge, *kargs)
+            same &= (float(val), int(idx)) == _kernels.scan_range_numpy(*edge, *kargs)
+        mismatches += not same
         print(f"[{name}] {report('numpy split scan', t_np, evals)} | "
-              f"{report(seq_name, t_sq, seq_evals)} | identical: {r_sq == r_np}")
+              f"{report(seq_name, t_sq, seq_evals)} | identical: {same}")
     if mismatches:
         raise SystemExit("the kernels disagree")
 

@@ -59,7 +59,6 @@ from .oracle import DEFAULT_LIMIT, OracleResult, brute_force, resolve_workers
 from .relaxation import (
     RelaxedSolution,
     SolverSettings,
-    SolverStatus,
     par_ratio_from_peak,
     solve_relaxed,
     solve_relaxed_cost,

@@ -18,22 +18,24 @@ Two implementations of the same sum:
   be imported. It walks the range keeping per-user prefix loads and rebuilds
   each level from the one above whenever its digit changes;
 * ``scan_range_numpy`` (used when numba is not installed), a split scan over
-  blocks that pair a few prefix schedules with every schedule of the last
-  users. PAR is exact per block; cost is scored from prefix and suffix
-  tables, and the pairs rounding may put at the minimum are re-scored from
-  scratch in user order by ``_evaluate``.
+  blocks that pair a few schedules of the first users (the prefix, possibly
+  empty) with every schedule of the last users (the suffix, never empty).
+  PAR is exact per block; cost is scored from prefix and suffix tables, and
+  the pairs rounding may put at the minimum are re-scored from scratch in
+  user order by ``_cost``.
 
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
 terms of every slot are added in user order in both paths, so they give
 bit-identical values and the scan result does not depend on how the range
 was partitioned.
 
+An empty range (hi <= lo) gives (inf, -1). The module holds no mutable
+state, so scans may run at once on any number of threads.
+
 Objective codes: 0 = quadratic cost (cents), 1 = peak-to-average ratio.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -42,9 +44,6 @@ PAR = 1
 
 #: schedules per block, which caps a block's working set at this many x horizon floats
 _NUMPY_CHUNK = 1 << 15
-
-_suffix_lock = threading.Lock()
-_suffix_memo = [None, None, None]  # last placed (kept alive), (radices, m), suffix loads
 
 
 def _loads(index, radices, placed, horizon):
@@ -59,11 +58,9 @@ def _loads(index, radices, placed, horizon):
     return loads
 
 
-def _evaluate(index, radices, placed, horizon, coeffs, mode, total_energy):
-    """The canonical objective of the schedules at ``index``."""
+def _cost(index, radices, placed, horizon, coeffs):
+    """The canonical cost of the schedules at ``index``."""
     loads = _loads(index, radices, placed, horizon)
-    if mode == PAR:
-        return (horizon * loads.max(axis=1)) / total_energy
     vals = np.zeros(len(loads))
     for h in range(horizon):
         vals += coeffs[h] * loads[:, h] * loads[:, h]
@@ -71,30 +68,14 @@ def _evaluate(index, radices, placed, horizon, coeffs, mode, total_energy):
 
 
 def _split_point(radices):
-    """The first suffix user m >= 1 and the suffix's joint radix, for the
-    largest suffix whose schedules fit one block; m == N when none does."""
-    m, size = len(radices), 1
-    while m > 1 and size * radices[m - 1] <= _NUMPY_CHUNK:
+    """The first suffix user m and the suffix's joint radix: the suffix is
+    the last user plus every user before it that keeps its schedules within
+    one block, so m = 0 when the whole instance fits."""
+    m, size = len(radices) - 1, int(radices[-1])
+    while m > 0 and size * radices[m - 1] <= _NUMPY_CHUNK:
         m -= 1
         size *= int(radices[m])
     return m, size
-
-
-def block_size(radices) -> int:
-    """Schedules per block of ``scan_range_numpy``, to cut ranges along."""
-    m, size = _split_point(radices)
-    return _NUMPY_CHUNK if m == len(radices) else size * (_NUMPY_CHUNK // size)
-
-
-def _suffix_loads(radices, placed, m, size):
-    """Slot-major suffix load table, built once per ``placed`` array and
-    shared by every range scanned over it."""
-    key = (tuple(radices.tolist()), m)
-    with _suffix_lock:
-        if _suffix_memo[0] is not placed or _suffix_memo[1] != key:
-            loads = _loads(np.arange(size), radices[m:], placed[m:], placed.shape[2])
-            _suffix_memo[:] = placed, key, np.ascontiguousarray(loads.T)
-        return _suffix_memo[2]
 
 
 def _block_peaks(prefix, radices, placed, m):
@@ -134,19 +115,16 @@ def scan_range_numpy(
     """Minimum over schedules lo..hi-1 and the first index attaining it.
 
     Users m..N-1 (``_split_point``) form the suffix. A block pairs
-    consecutive prefix schedules with every suffix schedule, so its indices
-    are contiguous.
+    consecutive prefix schedules (one when the suffix alone exceeds the
+    block cap) with every suffix schedule, so its indices are contiguous.
     """
-    args = (radices, placed, horizon, coeffs, mode, total_energy)
+    if hi <= lo:
+        return np.inf, -1
     best = (np.inf, -1)
     m, size = _split_point(radices)
-    if m == len(radices) or hi <= lo:
-        for c0 in range(lo, hi, _NUMPY_CHUNK):
-            index = np.arange(c0, min(c0 + _NUMPY_CHUNK, hi))
-            best = _first_min(best, index, _evaluate(index, *args))
-        return best
     if mode == COST:
-        suffix = _suffix_loads(radices, placed, m, size)
+        suffix = _loads(np.arange(size), radices[m:], placed[m:], horizon)
+        suffix = np.ascontiguousarray(suffix.T)  # slot-major
         # einsum runs numpy's own loops: BLAS would wake its thread pool for
         # every small block, which costs more than the product
         suffix_cost = np.einsum("h,hs,hs->s", coeffs, suffix, suffix)
@@ -156,7 +134,7 @@ def scan_range_numpy(
         # the lower canonical value; 8 gamma_K also covers rounding the cut
         unit = (2 * len(radices) + horizon + 8) * np.finfo(float).eps / 2
         cut_factor = 1 + 8 * unit / (1 - unit)
-    rows = _NUMPY_CHUNK // size
+    rows = max(1, _NUMPY_CHUNK // size)
     q_end = (hi - 1) // size + 1
     for q0 in range(lo // size, q_end, rows):
         prefix = _loads(np.arange(q0, min(q0 + rows, q_end)), radices[:m], placed[:m], horizon)
@@ -174,11 +152,13 @@ def scan_range_numpy(
         scores = scores.ravel()[first : hi - base]
         index = base + first + np.flatnonzero(scores <= min(scores.min(), best[0]) * cut_factor)
         if len(index):
-            best = _first_min(best, index, _evaluate(index, *args))
+            best = _first_min(best, index, _cost(index, radices, placed, horizon, coeffs))
     return best
 
 
 def _scan_range_sequential(lo, hi, radices, placed, horizon, coeffs, mode, total_energy):
+    if hi <= lo:
+        return np.inf, np.int64(-1)
     n_users = radices.shape[0]
     digits = np.empty(n_users, dtype=np.int64)
     rem = lo

@@ -96,8 +96,9 @@ def solve_standard_form(
     """Run the predictor-corrector iteration from a strictly positive x0.
 
     quad_factor (K, M) and quad_weights (K,) define the quadratic term; pass
-    None for a pure LP. Rows with zero weight are discarded. ``x0`` must be
-    strictly positive and should roughly satisfy the equalities.
+    None for a pure LP. Rows whose weight is zero, or so small that its
+    inverse overflows, are discarded. ``x0`` must be strictly positive and
+    should roughly satisfy the equalities.
     """
     A = np.asarray(eq_matrix, dtype=np.float64)
     b = np.asarray(eq_rhs, dtype=np.float64)
@@ -106,10 +107,12 @@ def solve_standard_form(
     G = None
     w = None
     if quad_factor is not None:
-        keep = np.asarray(quad_weights, dtype=np.float64) > 0.0
+        weights = np.asarray(quad_weights, dtype=np.float64)
+        # the scaled system adds 0.5 / w: drop weights that overflow it, like zeros
+        keep = weights > 0.5 / np.finfo(np.float64).max
         if keep.any():
             G = np.ascontiguousarray(np.asarray(quad_factor, dtype=np.float64)[keep])
-            w = np.asarray(quad_weights, dtype=np.float64)[keep]
+            w = weights[keep]
     c = (
         np.zeros(n_var)
         if linear is None

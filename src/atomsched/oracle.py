@@ -1,9 +1,9 @@
 """Global optimization by direct enumeration of every joint schedule.
 
 This is the ground truth the relaxation bounds are validated against. The
-scan is embarrassingly parallel over contiguous mixed-radix index ranges,
-cut along the numpy kernel's blocks; per-range results are pure functions of
-the range, so the merged outcome is identical for any worker count. Ties are
+scan is embarrassingly parallel: each worker takes one contiguous
+mixed-radix index range. Per-range results are pure functions of the range,
+so the merged outcome is identical for any worker count. Ties are
 broken toward the lexicographically smallest schedule, comparing starts by
 their pre-modulo window position (so a 10 PM start orders before a midnight
 start of the same wrapped window).
@@ -31,8 +31,8 @@ from .objectives import ObjectiveKind
 DEFAULT_LIMIT = 100_000_000
 WORKER_CAP_ENV = "ATOMSCHED_MAX_WORKERS"
 
+#: below this many schedules the scan is one range
 _MIN_PARALLEL_SIZE = 1 << 16
-_CHUNKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,8 @@ def pack_instance(instance: ProblemInstance):
 
 def _decode_schedule(instance: ProblemInstance, index: int) -> tuple[int, ...]:
     sets_ = start_sets(instance)
-    digits = []
-    rem = index
-    for starts in reversed(sets_):
-        digits.append(rem % len(starts))
-        rem //= len(starts)
-    digits.reverse()
-    return tuple(sets_[n][d] for n, d in enumerate(digits))
+    digits = np.unravel_index(index, [len(starts) for starts in sets_])
+    return tuple(sets_[n][int(d)] for n, d in enumerate(digits))
 
 
 def brute_force(
@@ -108,21 +103,12 @@ def brute_force(
     args = (*packed, instance.horizon, coeffs, mode, total_energy)
 
     workers = resolve_workers(workers)
-    if workers == 1 or total < _MIN_PARALLEL_SIZE:
-        best_val, best_idx = _kernels.scan_range(0, total, *args)
-    else:
-        # ranges of whole blocks, so no block is split between two ranges
-        block = _kernels.block_size(packed[0])
-        chunk = -(-total // (workers * _CHUNKS_PER_WORKER * block)) * block
-        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(lambda r: _kernels.scan_range(r[0], r[1], *args), ranges)
-            )
-        best_val, best_idx = np.inf, -1
-        for val, idx in partials:  # ranges are ascending: ties keep lowest index
-            if val < best_val:
-                best_val, best_idx = val, idx
+    n_ranges = 1 if total < _MIN_PARALLEL_SIZE else workers
+    bounds = [total * k // n_ranges for k in range(n_ranges + 1)]
+    with ThreadPoolExecutor(max_workers=n_ranges) as pool:
+        partials = pool.map(lambda lo, hi: _kernels.scan_range(lo, hi, *args), bounds, bounds[1:])
+        # the ranges ascend and min keeps the first minimum: ties keep the lowest index
+        best_val, best_idx = min(partials, key=lambda partial: partial[0])
 
     return OracleResult(
         schedule=_decode_schedule(instance, int(best_idx)),

@@ -10,7 +10,6 @@ the drop set, are eliminated before the solve rather than pinned to zero.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Collection
 
@@ -28,12 +27,6 @@ CLAMP_TOL = 1e-9
 #: Feasibility tolerance applied to solver output (vs. the 1e-9 used for
 #: exact, hand-built flow matrices).
 SOLUTION_FEASIBILITY_TOL = 1e-6
-
-
-class SolverStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    NUMERICAL_FAILURE = "numerical_failure"
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,6 @@ class RelaxedSolution:
 
     flows: np.ndarray = field(repr=False)
     objective_value: float
-    solver_status: SolverStatus
     iterations: int
 
 
@@ -113,7 +105,6 @@ def _finish(instance, packing, result, objective_value) -> RelaxedSolution:
     return RelaxedSolution(
         flows=flows,
         objective_value=float(objective_value),
-        solver_status=SolverStatus.OPTIMAL,
         iterations=result.iterations,
     )
 

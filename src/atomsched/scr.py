@@ -5,7 +5,7 @@ already (numerically) one-hot, and otherwise permanently zeroes out a batch
 of small fractional variables before re-solving:
 
 * the per-row maximum element is protected (ties go to the lowest start slot),
-* remaining elements below 1 - integral_tol are sorted ascending by value
+* remaining elements below 1 - INTEGRAL_TOL are sorted ascending by value
   (ties by user then start slot),
 * the smallest is always dropped; further elements follow while they stay
   below ``drop_threshold`` and the per-round budget ``max_drops_per_iteration``
@@ -42,6 +42,10 @@ from .relaxation import (
     solve_relaxed,
 )
 
+#: a flow row is one-hot when one entry is >= 1 - INTEGRAL_TOL and every
+#: other is <= INTEGRAL_TOL
+INTEGRAL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SCRConfig:
@@ -49,8 +53,6 @@ class SCRConfig:
     drop_threshold: float = 0.1
     #: max elements dropped per round, including the mandatory minimum
     max_drops_per_iteration: int = 1
-    integral_tol: float = 1e-6
-    zero_tol: float = 1e-6
     #: defaults to the total start-set size, which the loop can never exceed
     max_iterations: int | None = None
     #: deterministic single-start descent on the final schedule; fractional
@@ -173,8 +175,8 @@ def successive_convex_relaxation(
         # test the live flows: one entry near 1, every other near 0
         top_two = np.partition(flows, -2, axis=1)[:, -2:]
         integral = bool(
-            np.all(top_two[:, 1] >= 1.0 - config.integral_tol)
-            and np.all(top_two[:, 0] <= config.zero_tol)
+            np.all(top_two[:, 1] >= 1.0 - INTEGRAL_TOL)
+            and np.all(top_two[:, 0] <= INTEGRAL_TOL)
         )
 
         rounded = tuple(int(s) for s in flows.argmax(axis=1))
@@ -216,7 +218,7 @@ def successive_convex_relaxation(
                 if s == best_s:
                     continue
                 value = float(flows[n, s])
-                if value < 1.0 - config.integral_tol:
+                if value < 1.0 - INTEGRAL_TOL:
                     candidates.append((value, n, s))
         if not candidates:
             raise SolverError(
@@ -256,12 +258,10 @@ def scr_sweep(
     n_d_values: Sequence[int],
     seeds: Sequence[int],
     objective: ObjectiveKind,
-    catalog=None,
-    horizon: int = 24,
     drop_threshold: float = 0.1,
-    settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> list[SweepRow]:
-    """Bound-vs-size sweep over seeded random instances.
+    """Bound-vs-size sweep over ``generate_instance`` draws from the default
+    catalog, solved with the default solver settings.
 
     One row per (n, n_d, seed) in input order; the run is deterministic apart
     from the wall_ms column.
@@ -275,11 +275,9 @@ def scr_sweep(
                 drop_threshold=drop_threshold, max_drops_per_iteration=n_d
             )
             for seed in seeds:
-                instance = generate_instance(n, seed, catalog=catalog, horizon=horizon)
+                instance = generate_instance(n, seed)
                 started = time.perf_counter()
-                result = successive_convex_relaxation(
-                    instance, objective, config, settings
-                )
+                result = successive_convex_relaxation(instance, objective, config)
                 wall_ms = (time.perf_counter() - started) * 1e3
                 rows.append(
                     SweepRow(

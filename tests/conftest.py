@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import atomsched as a
 
@@ -45,3 +46,21 @@ def random_relaxed_flows(instance, rng):
     for n, starts in enumerate(a.start_sets(instance)):
         flows[n, list(starts)] = rng.dirichlet(np.ones(len(starts)))
     return flows
+
+
+# hypothesis strategies for random instances
+LEVELS = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
+PRICES = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def appliances(draw, horizon):
+    duration = draw(st.integers(1, min(horizon, 8)))
+    # a window as short as the operation (but at least two slots), possibly
+    # running past the end of the day
+    length = draw(st.integers(max(duration, 2), horizon))
+    window_start = draw(st.integers(0, horizon - 1))
+    pattern = draw(st.lists(LEVELS, min_size=duration, max_size=duration))
+    return a.Appliance(
+        "x", window_start, window_start + length - 1, duration, tuple(pattern)
+    )

@@ -2,15 +2,19 @@ import itertools
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import atomsched as a
-from atomsched import _kernels
+from atomsched import _kernels, oracle
 from atomsched.errors import TooLargeError
 from atomsched.model import instance_total_energy
 from atomsched.oracle import pack_instance
+from conftest import PRICES, appliances
 
 COST = a.ObjectiveKind.COST
 PAR = a.ObjectiveKind.PAR
@@ -53,7 +57,7 @@ def kernel_instances():
         a.Appliance("b", 1, 3, 3, (0.5, 2.0, 1.0)),  # duration equals window
         a.Appliance("c", 0, 4, 1, (0.75,)),
     ]
-    # 39 starts: over SMALL_BLOCK, so with that cap no suffix fits one block
+    # 39 starts: over SMALL_BLOCK, so with that cap a block is one prefix row
     wide = a.Appliance("wide", 0, 39, 2, (1.0, 0.5))
     dish_washer = a.catalog_appliance("dish_washer")
     return [
@@ -73,8 +77,8 @@ def kernel_instances():
     ]
 
 
-#: a block cap that cuts the kernel instances into many blocks and leaves
-#: two of them (one user; a last user with 39 starts) with no split at all
+#: a block cap that cuts the kernel instances into many blocks; under it
+#: some fit one block whole and the last user with 39 starts exceeds it
 SMALL_BLOCK = 30
 
 
@@ -94,7 +98,8 @@ def test_numpy_kernel_matches_sequential_kernel(mode, monkeypatch):
     """The numpy kernel against the source numba compiles, run as plain
     Python, and against the compiled kernel when numba is installed; with
     the default block cap and with one that splits the scan into many
-    blocks, on ranges that start and end inside a block."""
+    blocks, on ranges that start and end inside a block, and on empty and
+    reversed ranges, which give (inf, -1)."""
     sequential = [_kernels._scan_range_sequential]
     if _kernels.scan_range_numba is not None:
         sequential.append(_kernels.scan_range_numba)
@@ -105,34 +110,35 @@ def test_numpy_kernel_matches_sequential_kernel(mode, monkeypatch):
             radices, placed = pack_instance(inst)
             args = (radices, placed, inst.horizon, coeffs, mode, instance_total_energy(inst))
             total = a.enumeration_size(inst)
-            block = _kernels.block_size(radices)
+            _, size = _kernels._split_point(radices)
+            block = size * max(1, cap // size)
             ranges = [
                 (0, total),
                 (total // 3, 2 * total // 3 + 1),
                 (total - 1, total),
                 (block // 2, min(total, 2 * block + block // 3)),
+                (total // 2, total // 2),
+                (total // 2 + 1, total // 3),
             ]
             for lo, hi in ranges:
-                if lo >= hi:
-                    continue
                 expected = _kernels.scan_range_numpy(lo, hi, *args)
+                if lo >= hi:
+                    assert expected == (np.inf, -1)
                 for kernel in sequential:
                     val, idx = kernel(lo, hi, *args)
                     assert (float(val), int(idx)) == expected, (cap, inst, lo, hi)
 
 
 def test_small_block_cap_reaches_every_scan_path(monkeypatch):
-    """With SMALL_BLOCK, the kernel instances cover a scan with no split
-    (one user; a last user whose starts alone exceed the cap) and split
-    scans of one and of several prefix rows per block."""
+    """With SMALL_BLOCK, the kernel instances take the one scan path with
+    an empty prefix, with a last user whose starts alone exceed the cap,
+    and with blocks of one and of several prefix rows."""
     monkeypatch.setattr(_kernels, "_NUMPY_CHUNK", SMALL_BLOCK)
-    splits = []
-    for inst in kernel_instances():
-        radices, _ = pack_instance(inst)
-        m, size = _kernels._split_point(radices)
-        splits.append(None if m == len(radices) else SMALL_BLOCK // size)
-    assert splits.count(None) == 2
-    assert 1 in splits and any(rows and rows > 1 for rows in splits)
+    splits = [_kernels._split_point(pack_instance(inst)[0]) for inst in kernel_instances()]
+    assert any(m == 0 for m, _ in splits)
+    assert any(size > SMALL_BLOCK for _, size in splits)
+    rows = {max(1, SMALL_BLOCK // size) for m, size in splits if m > 0}
+    assert 1 in rows and max(rows) > 1
 
 
 def test_dish_washer_cost_optimum(dish_washer_instance):
@@ -176,20 +182,17 @@ def test_worker_counts_agree(monkeypatch):
     assert capped == results[0]
 
 
-def test_concurrent_scans_keep_their_own_suffix_tables(monkeypatch):
+def test_concurrent_scans_keep_their_own_suffix_tables():
     """Two instances with the same radices but other loads, scanned at once
-    over more threads than cores, take turns in the shared suffix table;
-    each result must still match a single-threaded scan from an empty table."""
+    over more threads than cores; each result must match a single-threaded
+    scan."""
     regular = a.catalog_appliance("washing_machine_regular")
     star = a.catalog_appliance("washing_machine_energy_star")
     insts = [
         a.ProblemInstance(24, users, a.default_cost_coefficients())
         for users in ([regular, star, star, regular], [star, regular, regular, star])
     ]
-    expected = []
-    for inst in insts:
-        monkeypatch.setattr(_kernels, "_suffix_memo", [None, None, None])
-        expected.append(a.brute_force(inst, COST, workers=1))
+    expected = [a.brute_force(inst, COST, workers=1) for inst in insts]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -199,6 +202,39 @@ def test_concurrent_scans_keep_their_own_suffix_tables(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected[k % 2] for k in range(8)]
+
+
+@st.composite
+def small_instances(draw):
+    """Up to four users, whose windows may wrap midnight and whose patterns
+    need not be constant, under prices that may be zero in some slots."""
+    horizon = draw(st.sampled_from([24, 5, 12]))
+    users = draw(st.lists(appliances(horizon), min_size=1, max_size=4))
+    prices = draw(st.lists(PRICES, min_size=horizon, max_size=horizon))
+    return a.ProblemInstance(horizon, users, prices)
+
+
+#: a price so small that its inverse overflows: the cost IPM must treat it
+#: like a zero price instead of failing
+TINY_PRICE = a.ProblemInstance(
+    24, [a.Appliance("x", 22, 23, 2, (0.5, 1.0))], (0.0,) * 22 + (1.0, 5e-324)
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_instances(), st.sampled_from(list(a.ObjectiveKind)))
+@example(TINY_PRICE, COST)
+def test_optimum_lies_between_scr_bounds(instance, objective):
+    """LB <= optimum <= UB with the acceptance suite's slack; repeat runs
+    give the same answers; and 1, 2 and 3 workers agree when every scan is
+    cut into ranges, so ranges split blocks."""
+    with patch.object(oracle, "_MIN_PARALLEL_SIZE", 1):
+        results = [a.brute_force(instance, objective, workers=w) for w in (1, 2, 3, 1)]
+    assert all(result == results[0] for result in results)
+    bounds = a.successive_convex_relaxation(instance, objective)
+    assert bounds.lower_bound - 1e-6 <= results[0].objective_value
+    assert results[0].objective_value <= bounds.upper_bound + 1e-6
+    assert a.successive_convex_relaxation(instance, objective) == bounds
 
 
 @pytest.mark.parametrize("requested", [0, -3])

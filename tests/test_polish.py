@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import atomsched as a
+from conftest import PRICES, appliances
 
 
 def reference_loads(instance, starts):
@@ -57,23 +58,6 @@ def reference_polish(instance, objective, schedule):
                 starts[n] = best_s
                 moved = True
     return tuple(starts)
-
-
-LEVELS = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
-PRICES = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
-
-
-@st.composite
-def appliances(draw, horizon):
-    duration = draw(st.integers(1, min(horizon, 8)))
-    # a window as short as the operation (but at least two slots), possibly
-    # running past the end of the day
-    length = draw(st.integers(max(duration, 2), horizon))
-    window_start = draw(st.integers(0, horizon - 1))
-    pattern = draw(st.lists(LEVELS, min_size=duration, max_size=duration))
-    return a.Appliance(
-        "x", window_start, window_start + length - 1, duration, tuple(pattern)
-    )
 
 
 @st.composite

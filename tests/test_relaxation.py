@@ -134,4 +134,3 @@ def test_solution_iterations_reported():
     inst = a.generate_instance(3, 1)
     sol = a.solve_relaxed_cost(inst)
     assert sol.iterations > 0
-    assert sol.solver_status is a.SolverStatus.OPTIMAL
