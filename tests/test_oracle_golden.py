@@ -1,0 +1,64 @@
+"""Golden oracle runs: exact optima, schedules and evaluation counts pinned.
+
+The expected values in ``data/oracle_golden.json`` were recorded from
+``brute_force`` at default workers while two enumeration kernels were still
+kept bit-identical by hand. The large cases scan many blocks, far past what
+the plain-Python reference kernel in ``test_oracle.py`` can reach. Values
+are compared through ``float.hex``, so any change in rounding fails. Re-record
+them only for a change that is meant to move the oracle's results:
+
+    PYTHONPATH=src python tests/test_oracle_golden.py
+"""
+
+import json
+import pathlib
+
+import pytest
+
+import atomsched as a
+from test_oracle import kernel_instances
+
+GOLDEN = pathlib.Path(__file__).with_name("data") / "oracle_golden.json"
+OBJECTIVES = ["cost", "par"]
+
+
+def instances():
+    """Every kernel cross-check instance, worst5 (23^5 schedules, every one
+    a near-tie) and two N=6 generated instances."""
+    cases = {f"kernel-{k}": inst for k, inst in enumerate(kernel_instances())}
+    dish_washer = a.catalog_appliance("dish_washer")
+    cases["worst5"] = a.ProblemInstance(24, [dish_washer] * 5, a.default_cost_coefficients())
+    for seed in (2, 3):
+        cases[f"gen-6-{seed}"] = a.generate_instance(6, seed)
+    return cases
+
+
+def run(instance, objective):
+    result = a.brute_force(instance, a.ObjectiveKind(objective))
+    return {
+        "objective_value": float.hex(result.objective_value),
+        "schedule": list(result.schedule),
+        "evaluations": result.evaluations,
+    }
+
+
+def _expected():
+    return {(c["case"], c["objective"]): c for c in json.loads(GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("case", list(instances()))
+def test_oracle_matches_golden_run(case, objective):
+    expected = _expected()[(case, objective)]
+    got = run(instances()[case], objective)
+    for key in ("objective_value", "schedule", "evaluations"):
+        assert got[key] == expected[key], key
+
+
+if __name__ == "__main__":
+    records = [
+        {"case": case, "objective": objective, **run(inst, objective)}
+        for case, inst in instances().items()
+        for objective in OBJECTIVES
+    ]
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
