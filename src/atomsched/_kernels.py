@@ -1,33 +1,28 @@
-"""Enumeration kernels: scan a contiguous range of joint schedules.
+"""Enumeration kernel: scan a contiguous range of joint schedules.
 
 Joint schedules are indexed in mixed-radix order (user 0 is the most
 significant digit; digit k of user n selects the user's k-th feasible start
-in window order). Both kernels return the minimum objective over an index
+in window order). ``scan_range`` returns the minimum objective over an index
 range and the first index attaining it, which makes range splits merge
 deterministically.
 
-The kernels never place a pattern themselves. They read ``placed``, an
+The kernel never places a pattern itself. It reads ``placed``, an
 ``(n_users, max_radix, horizon)`` array built by ``oracle.pack_instance``
 from the instance's ``flows.PlacementTable``: ``placed[n, k]`` is user n's
 whole load row at its k-th start, and rows past a user's radix are zero.
 A schedule's load is the sum of one row per user, added in user order.
 
-Two implementations of the same sum:
-
-* ``_scan_range_sequential``, which numba @njit-compiles whenever numba can
-  be imported. It walks the range keeping per-user prefix loads and rebuilds
-  each level from the one above whenever its digit changes;
-* ``scan_range_numpy`` (used when numba is not installed), a split scan over
-  blocks that pair a few schedules of the first users (the prefix, possibly
-  empty) with every schedule of the last users (the suffix, never empty).
-  PAR is exact per block; cost is scored from prefix and suffix tables, and
-  the pairs rounding may put at the minimum are re-scored from scratch in
-  user order by ``_cost``.
+The scan is split over blocks that pair a few schedules of the first users
+(the prefix, possibly empty) with every schedule of the last users (the
+suffix, never empty). PAR is exact per block; cost is scored from prefix
+and suffix tables, and the pairs rounding may put at the minimum are
+re-scored from scratch in user order by ``_cost``.
 
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
-terms of every slot are added in user order in both paths, so they give
-bit-identical values and the scan result does not depend on how the range
-was partitioned.
+terms of every slot are added in user order however the blocks fall, so a
+schedule's value is bit-identical to a plain per-schedule loop that sums
+the rows in user order, and the scan result does not depend on how the
+range was partitioned.
 
 An empty range (hi <= lo) gives (inf, -1). The module holds no mutable
 state, so scans may run at once on any number of threads.
@@ -102,7 +97,7 @@ def _first_min(best, index, vals):
     return (float(vals[k]), int(index[k])) if vals[k] < best[0] else best
 
 
-def scan_range_numpy(
+def scan_range(
     lo: int,
     hi: int,
     radices: np.ndarray,
@@ -156,66 +151,6 @@ def scan_range_numpy(
     return best
 
 
-def _scan_range_sequential(lo, hi, radices, placed, horizon, coeffs, mode, total_energy):
-    if hi <= lo:
-        return np.inf, np.int64(-1)
-    n_users = radices.shape[0]
-    digits = np.empty(n_users, dtype=np.int64)
-    rem = lo
-    for n in range(n_users - 1, -1, -1):
-        digits[n] = rem % radices[n]
-        rem //= radices[n]
-
-    # prefix[m] = load of users 0..m-1; levels n+1.. are rebuilt from level n
-    # after digit n changes (all of them for the first schedule)
-    prefix = np.zeros((n_users + 1, horizon))
-    best_val = np.inf
-    best_idx = np.int64(-1)
-    idx = lo
-    n = 0
-    while True:
-        for m in range(n, n_users):
-            for h in range(horizon):
-                prefix[m + 1, h] = prefix[m, h] + placed[m, digits[m], h]
-        if mode == COST:
-            val = 0.0
-            for h in range(horizon):
-                val += coeffs[h] * prefix[n_users, h] * prefix[n_users, h]
-        else:
-            peak = prefix[n_users, 0]
-            for h in range(1, horizon):
-                if prefix[n_users, h] > peak:
-                    peak = prefix[n_users, h]
-            val = (horizon * peak) / total_energy
-        if val < best_val:
-            best_val = val
-            best_idx = idx
-        idx += 1
-        if idx >= hi:
-            break
-        n = n_users - 1
-        while digits[n] + 1 >= radices[n]:
-            digits[n] = 0
-            n -= 1
-        digits[n] += 1
-    return best_val, best_idx
-
-
-try:
-    import numba
-except ImportError:
-    scan_range_numba = None
-else:
-    scan_range_numba = numba.njit(cache=True, nogil=True)(_scan_range_sequential)
-
-
 def active_backend() -> str:
-    return "numpy" if scan_range_numba is None else "numba"
-
-
-def scan_range(lo: int, hi: int, *args) -> tuple[float, int]:
-    """Scan one range with the numba kernel when numba is installed, else numpy."""
-    if scan_range_numba is None:
-        return scan_range_numpy(lo, hi, *args)
-    val, idx = scan_range_numba(lo, hi, *args)
-    return float(val), int(idx)
+    """The enumeration kernel's name, for environment reports."""
+    return "numpy"

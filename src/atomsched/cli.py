@@ -44,15 +44,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '3', '1,2,5', or an inclusive range '2..8'."""
+    """Accept '3', '1,2,5', or an inclusive range '2..8'; an empty list is
+    a ValueError."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+        values = list(range(int(lo_text), int(hi_text) + 1))
+    else:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
 
 
 def clock_range(start: int, duration: int, horizon: int) -> str:

@@ -2,8 +2,10 @@
 
 This is the ground truth the relaxation bounds are validated against. The
 scan is embarrassingly parallel: each worker takes one contiguous
-mixed-radix index range. Per-range results are pure functions of the range,
-so the merged outcome is identical for any worker count. Ties are
+mixed-radix index range and runs the one enumeration kernel,
+``_kernels.scan_range``, on it. A schedule's value is bit-identical
+wherever its range starts, so per-range results are pure functions of the
+range and the merged outcome is identical for any worker count. Ties are
 broken toward the lexicographically smallest schedule, comparing starts by
 their pre-modulo window position (so a 10 PM start orders before a midnight
 start of the same wrapped window).

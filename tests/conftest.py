@@ -5,16 +5,6 @@ from hypothesis import strategies as st
 import atomsched as a
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT-compile (or load the on-disk cache) before any timed test runs
-    inst = a.ProblemInstance(
-        24, [a.catalog_appliance("dish_washer")], a.default_cost_coefficients()
-    )
-    a.brute_force(inst, a.ObjectiveKind.COST, workers=1)
-    a.brute_force(inst, a.ObjectiveKind.PAR, workers=1)
-
-
 @pytest.fixture
 def two_tier_coefficients():
     return a.default_cost_coefficients(24)

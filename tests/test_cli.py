@@ -146,6 +146,17 @@ def test_bench_json_to_stdout(capsys):
     assert {r["seed"] for r in rows} == {1, 2}
 
 
+@pytest.mark.parametrize("empty", [",", "5..2"])
+@pytest.mark.parametrize("flag", ["--n-range", "--n-d-list", "--seeds"])
+def test_bench_rejects_an_empty_list(flag, empty, capsys):
+    """An empty sweep is an error, not a header-only CSV."""
+    args = {"--n-range": "2", "--n-d-list": "1", "--seeds": "1", flag: empty}
+    assert main(["bench", *(part for item in args.items() for part in item)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"empty list {empty!r}" in captured.err
+
+
 def test_invalid_instance_exit_code(tmp_path, capsys):
     path = str(tmp_path / "broken.json")
     with open(path, "w") as handle:

@@ -93,16 +93,61 @@ def test_pack_instance_reads_the_placement_table():
             assert not placed[n, len(starts) :].any()
 
 
+def scan_range_sequential(lo, hi, radices, placed, horizon, coeffs, mode, total_energy):
+    """Plain-Python reference for ``_kernels.scan_range``: one schedule at a
+    time, summing each slot's rows in user order. It walks the range keeping
+    per-user prefix loads and rebuilds each level from the one above
+    whenever its digit changes."""
+    if hi <= lo:
+        return np.inf, -1
+    n_users = radices.shape[0]
+    digits = np.empty(n_users, dtype=np.int64)
+    rem = lo
+    for n in range(n_users - 1, -1, -1):
+        digits[n] = rem % radices[n]
+        rem //= radices[n]
+
+    # prefix[m] = load of users 0..m-1; levels n+1.. are rebuilt from level n
+    # after digit n changes (all of them for the first schedule)
+    prefix = np.zeros((n_users + 1, horizon))
+    best_val = np.inf
+    best_idx = -1
+    idx = lo
+    n = 0
+    while True:
+        for m in range(n, n_users):
+            for h in range(horizon):
+                prefix[m + 1, h] = prefix[m, h] + placed[m, digits[m], h]
+        if mode == _kernels.COST:
+            val = 0.0
+            for h in range(horizon):
+                val += coeffs[h] * prefix[n_users, h] * prefix[n_users, h]
+        else:
+            peak = prefix[n_users, 0]
+            for h in range(1, horizon):
+                if prefix[n_users, h] > peak:
+                    peak = prefix[n_users, h]
+            val = (horizon * peak) / total_energy
+        if val < best_val:
+            best_val = val
+            best_idx = idx
+        idx += 1
+        if idx >= hi:
+            break
+        n = n_users - 1
+        while digits[n] + 1 >= radices[n]:
+            digits[n] = 0
+            n -= 1
+        digits[n] += 1
+    return float(best_val), best_idx
+
+
 @pytest.mark.parametrize("mode", [_kernels.COST, _kernels.PAR], ids=["cost", "par"])
 def test_numpy_kernel_matches_sequential_kernel(mode, monkeypatch):
-    """The numpy kernel against the source numba compiles, run as plain
-    Python, and against the compiled kernel when numba is installed; with
-    the default block cap and with one that splits the scan into many
-    blocks, on ranges that start and end inside a block, and on empty and
-    reversed ranges, which give (inf, -1)."""
-    sequential = [_kernels._scan_range_sequential]
-    if _kernels.scan_range_numba is not None:
-        sequential.append(_kernels.scan_range_numba)
+    """The numpy kernel against the plain-Python reference, with the
+    default block cap and with one that splits the scan into many blocks,
+    on ranges that start and end inside a block, and on empty and reversed
+    ranges, which give (inf, -1)."""
     for cap in (_kernels._NUMPY_CHUNK, SMALL_BLOCK):
         monkeypatch.setattr(_kernels, "_NUMPY_CHUNK", cap)
         for inst in kernel_instances():
@@ -121,12 +166,10 @@ def test_numpy_kernel_matches_sequential_kernel(mode, monkeypatch):
                 (total // 2 + 1, total // 3),
             ]
             for lo, hi in ranges:
-                expected = _kernels.scan_range_numpy(lo, hi, *args)
+                expected = _kernels.scan_range(lo, hi, *args)
                 if lo >= hi:
                     assert expected == (np.inf, -1)
-                for kernel in sequential:
-                    val, idx = kernel(lo, hi, *args)
-                    assert (float(val), int(idx)) == expected, (cap, inst, lo, hi)
+                assert scan_range_sequential(lo, hi, *args) == expected, (cap, inst, lo, hi)
 
 
 def test_small_block_cap_reaches_every_scan_path(monkeypatch):
