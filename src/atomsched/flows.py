@@ -6,32 +6,53 @@ row encodes a concrete schedule; fractional rows arise only inside the convex
 relaxation. Relaxed feasibility requires each row to be a probability vector
 supported on the user's feasible start set.
 
-Every "place user n's pattern at start s" result comes from one
-:class:`PlacementTable`, built per call and shared by the load profiles, the
-cost derivatives, the relaxation's packing and SCR's polish.
+The flow variables are the feasible (user, start) pairs in one column layout,
+:func:`flow_columns`; :meth:`PlacementTable.live` masks out a drop set. Every
+"place user n's pattern at start s" result comes from one
+:class:`PlacementTable`, built per call and shared by every layer.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import operator
+from typing import Collection, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleFlowError, NotIntegralError
+from .errors import InfeasibleFlowError, InvalidInstanceError, NotIntegralError
 from .model import ProblemInstance, instance_total_energy, start_sets
 
 #: Absolute tolerance for row sums and out-of-window zeros. Interior-point
 #: output is never exactly feasible; callers validating solver output pass a
 #: looser value.
 FEASIBILITY_TOL = 1e-9
+#: distance from 1 and from 0 within which a flow row counts as one-hot
+INTEGRAL_TOL = 1e-6
+
+
+def flow_columns(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(users, starts, feasible)``: one column per flow variable, user by
+    user in window order, and the same pairs as an ``(n_users, horizon)`` mask."""
+    sets_ = start_sets(instance)
+    users = np.repeat(np.arange(instance.n_users), [len(s) for s in sets_])
+    starts = np.concatenate(sets_).astype(np.intp)
+    feasible = np.zeros((instance.n_users, instance.horizon), dtype=bool)
+    feasible[users, starts] = True
+    return users, starts, feasible
+
+
+def one_hot_rows(flows: np.ndarray) -> np.ndarray:
+    """Per row: one entry >= 1 - INTEGRAL_TOL and every other <= INTEGRAL_TOL."""
+    top_two = np.partition(flows, -2, axis=1)[:, -2:]
+    return (top_two[:, 1] >= 1.0 - INTEGRAL_TOL) & (top_two[:, 0] <= INTEGRAL_TOL)
 
 
 class PlacementTable:
     """Load rows of every (user, start) placement of one instance.
 
     ``rows[n, s]`` is the per-slot load of user n's pattern started at slot s
-    (wrapping modulo the horizon), for every s, feasible or not; ``users`` and
-    ``starts`` list the feasible pairs, user by user in window order, so
+    (wrapping modulo the horizon), for every s, feasible or not; ``users``,
+    ``starts`` and ``feasible`` are the instance's :func:`flow_columns`, so
     ``rows[users, starts]`` holds one row per flow variable. The table also
     carries the cost coefficients as an array and the instance's total energy.
     """
@@ -45,12 +66,21 @@ class PlacementTable:
         # rows[n, s, h] = pattern_n[(h - s) % horizon]
         offsets = (np.arange(horizon)[None, :] - np.arange(horizon)[:, None]) % horizon
         self.rows = padded[:, offsets]
-        self.users = np.repeat(
-            np.arange(instance.n_users), [len(s) for s in self.start_sets]
-        )
-        self.starts = np.concatenate(self.start_sets).astype(np.intp)
+        self.users, self.starts, self.feasible = flow_columns(instance)
         self.coefficients = np.asarray(instance.cost_coefficients)
         self.total_energy = instance_total_energy(instance)
+
+    def live(self, dropped: Collection[tuple[int, int]]) -> np.ndarray:
+        """Column mask of the flow variables left after ``dropped``; raises
+        InvalidInstanceError for a pair that does not name a flow variable."""
+        keep = self.feasible.copy()
+        for n, s in dropped:
+            if not _is_flow_variable(self.feasible, n, s):
+                raise InvalidInstanceError(
+                    f"drop ({n}, {s}) does not name a feasible start variable"
+                )
+            keep[int(n), int(s)] = False
+        return keep[self.users, self.starts]
 
     def flow_loads(self, flows: np.ndarray) -> np.ndarray:
         """Per-slot load of a flow matrix; only in-window entries count."""
@@ -61,70 +91,69 @@ class PlacementTable:
         return self.rows[np.arange(len(starts)), list(starts)].sum(axis=0)
 
 
+def _is_flow_variable(feasible: np.ndarray, n, s) -> bool:
+    try:
+        n, s = operator.index(n), operator.index(s)
+    except TypeError:
+        return False
+    return 0 <= n < feasible.shape[0] and 0 <= s < feasible.shape[1] and feasible[n, s]
+
+
 def validate_schedule(instance: ProblemInstance, schedule: Sequence[int]) -> tuple[int, ...]:
-    """Check one start per user, each inside its feasible start set."""
-    starts = tuple(int(s) for s in schedule)
-    sets_ = start_sets(instance)
+    """Check one integer start per user, each inside its feasible start set."""
+    starts = tuple(schedule)
     if len(starts) != instance.n_users:
         raise InfeasibleFlowError(
             f"schedule has {len(starts)} starts for {instance.n_users} users"
         )
+    feasible = flow_columns(instance)[2]
     for n, s in enumerate(starts):
-        if s not in sets_[n]:
+        if not _is_flow_variable(feasible, n, s):
             raise InfeasibleFlowError(
                 f"user {n} ({instance.appliances[n].name}): start {s} not in "
-                f"feasible start set {sorted(sets_[n])}"
+                f"feasible start set {np.flatnonzero(feasible[n]).tolist()}"
             )
-    return starts
+    return tuple(map(int, starts))
+
+
+def _flow_matrix(instance: ProblemInstance, flows: np.ndarray) -> np.ndarray:
+    f = np.asarray(flows, dtype=np.float64)
+    shape = (instance.n_users, instance.horizon)
+    if f.shape != shape:
+        raise InfeasibleFlowError(f"flow matrix shape {f.shape}, expected {shape}")
+    if not np.all(np.isfinite(f)):
+        raise InfeasibleFlowError("flow matrix contains non-finite entries")
+    return f
 
 
 def validate_flows(
-    instance: ProblemInstance,
-    flows: np.ndarray,
-    tol: float = FEASIBILITY_TOL,
-    boolean: bool = False,
+    instance: ProblemInstance, flows: np.ndarray, tol: float = FEASIBILITY_TOL
 ) -> np.ndarray:
-    """Validate relaxed feasibility (optionally Boolean) and return the matrix.
+    """Validate relaxed feasibility and return the matrix.
 
-    Raises InfeasibleFlowError when a row sum differs from 1 by more than
-    ``tol``, an entry outside the feasible start set exceeds ``tol``, an entry
-    leaves [0, 1] by more than ``tol``, or (with ``boolean=True``) an entry is
-    further than ``tol`` from {0, 1}.
+    Raises InfeasibleFlowError for the first user whose row has, checked in
+    this order, an entry above ``tol`` outside the feasible start set, an
+    entry outside [0, 1] by more than ``tol``, or a sum off 1 by more than ``tol``.
     """
-    f = np.asarray(flows, dtype=np.float64)
-    n_users, horizon = instance.n_users, instance.horizon
-    if f.shape != (n_users, horizon):
-        raise InfeasibleFlowError(
-            f"flow matrix shape {f.shape}, expected {(n_users, horizon)}"
+    f = _flow_matrix(instance, flows)
+    feasible = flow_columns(instance)[2]
+    outside = np.where(feasible, 0.0, np.abs(f))
+    low, high = f.min(axis=1), f.max(axis=1)
+    totals = np.where(feasible, f, 0.0).sum(axis=1)
+    failed = np.stack([
+        outside.max(axis=1) > tol,
+        (low < -tol) | (high > 1.0 + tol),
+        np.abs(totals - 1.0) > tol,
+    ])
+    if failed.any():
+        n = int(np.argmax(failed.any(axis=0)))
+        s = int(np.argmax(outside[n]))
+        messages = (
+            f"nonzero flow {f[n, s]!r} at start {s} outside the feasible start set",
+            f"flow entries outside [0, 1] (min {low[n]!r}, max {high[n]!r})",
+            f"row sums to {float(totals[n])!r}, expected 1",
         )
-    if not np.all(np.isfinite(f)):
-        raise InfeasibleFlowError("flow matrix contains non-finite entries")
-    sets_ = start_sets(instance)
-    for n in range(n_users):
-        row = f[n]
-        allowed = np.zeros(horizon, dtype=bool)
-        allowed[list(sets_[n])] = True
-        outside = np.abs(row[~allowed])
-        if outside.size and outside.max() > tol:
-            s = int(np.argmax(~allowed * np.abs(row)))
-            raise InfeasibleFlowError(
-                f"user {n}: nonzero flow {row[s]!r} at start {s} outside the "
-                "feasible start set"
-            )
-        if row.min() < -tol or row.max() > 1.0 + tol:
-            raise InfeasibleFlowError(
-                f"user {n}: flow entries outside [0, 1] (min {row.min()!r}, "
-                f"max {row.max()!r})"
-            )
-        total = float(row[allowed].sum())
-        if abs(total - 1.0) > tol:
-            raise InfeasibleFlowError(f"user {n}: row sums to {total!r}, expected 1")
-        if boolean:
-            dist = np.minimum(np.abs(row), np.abs(row - 1.0)).max()
-            if dist > tol:
-                raise InfeasibleFlowError(
-                    f"user {n}: row is not 0/1-valued (max deviation {dist!r})"
-                )
+        raise InfeasibleFlowError(f"user {n}: {messages[int(np.argmax(failed[:, n]))]}")
     return f
 
 
@@ -132,37 +161,29 @@ def schedule_to_flows(instance: ProblemInstance, schedule: Sequence[int]) -> np.
     """One-hot flow matrix for a feasible schedule."""
     starts = validate_schedule(instance, schedule)
     f = np.zeros((instance.n_users, instance.horizon))
-    for n, s in enumerate(starts):
-        f[n, s] = 1.0
+    f[np.arange(instance.n_users), starts] = 1.0
     return f
 
 
-def flows_to_schedule(
-    instance: ProblemInstance, flows: np.ndarray, integral_tol: float = 1e-6
-) -> tuple[int, ...]:
+def flows_to_schedule(instance: ProblemInstance, flows: np.ndarray) -> tuple[int, ...]:
     """Recover the schedule from a (near-)Boolean flow matrix.
 
-    Each row must have one entry >= 1 - integral_tol with all others
-    <= integral_tol; otherwise NotIntegralError reports the first fractional
-    row.
+    The first user whose row is not one-hot at a feasible start raises
+    NotIntegralError if the row is fractional, else InfeasibleFlowError.
     """
-    f = np.asarray(flows, dtype=np.float64)
-    sets_ = start_sets(instance)
-    starts = []
-    for n in range(instance.n_users):
-        row = f[n]
-        s = int(np.argmax(row))
-        rest = np.delete(row, s)
-        if row[s] < 1.0 - integral_tol or (rest.size and rest.max() > integral_tol):
+    f = _flow_matrix(instance, flows)
+    starts = f.argmax(axis=1)
+    one_hot = one_hot_rows(f)
+    failed = ~(one_hot & flow_columns(instance)[2][np.arange(len(f)), starts])
+    if failed.any():
+        n = int(np.argmax(failed))
+        s = int(starts[n])
+        if not one_hot[n]:
             raise NotIntegralError(
-                n, f"user {n}: row is fractional (max entry {row[s]!r} at start {s})"
+                n, f"user {n}: row is fractional (max entry {f[n, s]!r} at start {s})"
             )
-        if s not in sets_[n]:
-            raise InfeasibleFlowError(
-                f"user {n}: integral flow sits at infeasible start {s}"
-            )
-        starts.append(s)
-    return tuple(starts)
+        raise InfeasibleFlowError(f"user {n}: integral flow sits at infeasible start {s}")
+    return tuple(starts.tolist())
 
 
 def load_profile(

@@ -162,12 +162,10 @@ def operation_range(start: int, duration: int, horizon: int) -> tuple[int, ...]:
     return tuple(i % horizon for i in range(start, start + duration))
 
 
-def window_slots(appliance: Appliance, horizon: int) -> frozenset[int]:
+def window_slots(appliance: Appliance, horizon: int) -> set[int]:
     """The set of slots covered by the appliance's scheduling window."""
     validate_appliance(appliance, horizon)
-    return frozenset(
-        i % horizon for i in range(appliance.window_start, appliance.window_end + 1)
-    )
+    return {i % horizon for i in range(appliance.window_start, appliance.window_end + 1)}
 
 
 @lru_cache(maxsize=256)

@@ -4,8 +4,9 @@ start variables.
 The Boolean constraint (one-hot start per user) is relaxed to a probability
 row supported on the feasible start set. Cost minimization becomes a convex
 QP; peak minimization becomes an LP via an auxiliary peak variable bounded
-below by every slot load. Variables at infeasible starts, and variables in
-the drop set, are eliminated before the solve rather than pinned to zero.
+below by every slot load. Only the flow columns live under the drop set
+(``PlacementTable.live``) are variables, in layout order; the rest are
+eliminated before the solve rather than pinned to zero.
 """
 
 from __future__ import annotations
@@ -56,19 +57,11 @@ class RelaxedSolution:
 
 
 class _Packing:
-    """Column layout for the undropped, in-window flow variables: one column
-    per (user, start), user by user in window order."""
+    """The table's live flow columns, in layout order, as the solver's arrays."""
 
     def __init__(self, instance: ProblemInstance, dropped: Collection[tuple[int, int]]):
         table = PlacementTable(instance)
-        dropped = frozenset((int(n), int(s)) for n, s in dropped)
-        for n, s in dropped:
-            if not 0 <= n < instance.n_users or s not in table.start_sets[n]:
-                raise InvalidInstanceError(
-                    f"drop ({n}, {s}) does not name a feasible start variable"
-                )
-        pairs = zip(table.users.tolist(), table.starts.tolist())
-        live = np.array([pair not in dropped for pair in pairs])
+        live = table.live(dropped)
         self.users, self.starts = table.users[live], table.starts[live]
         self.per_user = np.bincount(self.users, minlength=instance.n_users)
         if not self.per_user.all():
@@ -111,7 +104,7 @@ def _finish(instance, packing, result, objective_value) -> RelaxedSolution:
 
 def solve_relaxed_cost(
     instance: ProblemInstance,
-    dropped: Collection[tuple[int, int]] = frozenset(),
+    dropped: Collection[tuple[int, int]] = (),
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RelaxedSolution:
     """Minimize the quadratic energy cost over the relaxed flow polytope."""
@@ -133,7 +126,7 @@ def solve_relaxed_cost(
 
 def solve_relaxed_par(
     instance: ProblemInstance,
-    dropped: Collection[tuple[int, int]] = frozenset(),
+    dropped: Collection[tuple[int, int]] = (),
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RelaxedSolution:
     """Minimize the peak slot load over the relaxed flow polytope.
@@ -179,7 +172,7 @@ def solve_relaxed_par(
 def solve_relaxed(
     instance: ProblemInstance,
     objective: ObjectiveKind,
-    dropped: Collection[tuple[int, int]] = frozenset(),
+    dropped: Collection[tuple[int, int]] = (),
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RelaxedSolution:
     if objective is ObjectiveKind.COST:

@@ -1,8 +1,8 @@
 """Successive convex relaxation: solve, drop small fractional flows, repeat.
 
 Each round solves the current relaxation, stops if every user's flow row is
-already (numerically) one-hot, and otherwise permanently zeroes out a batch
-of small fractional variables before re-solving:
+already one-hot, and otherwise drops (permanently zeroes out) a batch of small
+fractional variables among the flow columns still live before re-solving:
 
 * the per-row maximum element is protected (ties go to the lowest start slot),
 * remaining elements below 1 - INTEGRAL_TOL are sorted ascending by value
@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import islice, takewhile
 from typing import Sequence
 
 import numpy as np
 
 from .errors import IterationLimitError, SolverError
-from .flows import PlacementTable, validate_schedule
+from .flows import INTEGRAL_TOL, PlacementTable, one_hot_rows, validate_schedule
 from .model import ProblemInstance
 from .objectives import ObjectiveKind, energy_cost, par
 from .relaxation import (
@@ -41,10 +40,6 @@ from .relaxation import (
     par_ratio_from_peak,
     solve_relaxed,
 )
-
-#: a flow row is one-hot when one entry is >= 1 - INTEGRAL_TOL and every
-#: other is <= INTEGRAL_TOL
-INTEGRAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -142,6 +137,27 @@ def polish_schedule(
     return tuple(starts)
 
 
+def _select_drops(
+    table: PlacementTable, flows: np.ndarray, dropped: Sequence[tuple[int, int]],
+    config: SCRConfig,
+) -> tuple[tuple[int, int], ...]:
+    """One round's drops, by the rule in the module docstring, from relaxed
+    flows solved under ``dropped``: zero off the live columns, so each row's
+    argmax is its live maximum at the lowest slot."""
+    live = table.live(dropped)
+    users, starts = table.users[live], table.starts[live]
+    values = flows[users, starts]
+    protected = flows.argmax(axis=1)[users] == starts
+    droppable = ~protected & (values < 1.0 - INTEGRAL_TOL)
+    if not droppable.any():
+        raise SolverError("no droppable element although the solution is fractional")
+    users, starts, values = users[droppable], starts[droppable], values[droppable]
+    order = np.lexsort((starts, users, values))
+    small = np.count_nonzero(values[order[1:]] < config.drop_threshold)
+    order = order[: 1 + min(small, config.max_drops_per_iteration - 1)]
+    return tuple(zip(users[order].tolist(), starts[order].tolist()))
+
+
 def successive_convex_relaxation(
     instance: ProblemInstance,
     objective: ObjectiveKind,
@@ -150,12 +166,10 @@ def successive_convex_relaxation(
 ) -> SCRResult:
     """Compute a Boolean schedule with matching lower/upper bounds."""
     table = PlacementTable(instance)
-    sets_ = table.start_sets
     max_rounds = config.max_iterations
     if max_rounds is None:
-        max_rounds = sum(len(s) for s in sets_)
+        max_rounds = len(table.users)
 
-    dropped: set[tuple[int, int]] = set()
     drop_history: list[tuple[int, int]] = []
     trace: list[IterationRecord] = []
     lower_raw = None
@@ -166,18 +180,14 @@ def successive_convex_relaxation(
     scored: set[tuple[int, ...]] = set()
 
     for iteration in range(1, max_rounds + 1):
-        solution = solve_relaxed(instance, objective, dropped, settings)
+        solution = solve_relaxed(instance, objective, drop_history, settings)
         if lower_raw is None:
             lower_raw = solution.objective_value
         flows = solution.flows
 
         # dropped and out-of-window flows are exact zeros, so whole rows
-        # test the live flows: one entry near 1, every other near 0
-        top_two = np.partition(flows, -2, axis=1)[:, -2:]
-        integral = bool(
-            np.all(top_two[:, 1] >= 1.0 - INTEGRAL_TOL)
-            and np.all(top_two[:, 0] <= INTEGRAL_TOL)
-        )
+        # test the live flows
+        integral = bool(one_hot_rows(flows).all())
 
         rounded = tuple(int(s) for s in flows.argmax(axis=1))
         if (config.polish or integral) and rounded not in scored:
@@ -208,29 +218,7 @@ def successive_convex_relaxation(
                 objective=objective,
             )
 
-        # protect the per-row maximum (lowest slot wins ties), then collect
-        # droppable fractional elements
-        candidates: list[tuple[float, int, int]] = []
-        for n in range(instance.n_users):
-            live = sorted(s for s in sets_[n] if (n, s) not in dropped)
-            best_s = max(live, key=lambda s: flows[n, s])
-            for s in live:
-                if s == best_s:
-                    continue
-                value = float(flows[n, s])
-                if value < 1.0 - INTEGRAL_TOL:
-                    candidates.append((value, n, s))
-        if not candidates:
-            raise SolverError(
-                "no droppable element although the solution is fractional"
-            )
-        candidates.sort()
-
-        small = takewhile(lambda c: c[0] < config.drop_threshold, candidates[1:])
-        drops = [candidates[0], *islice(small, config.max_drops_per_iteration - 1)]
-
-        dropped_now = tuple((n, s) for _, n, s in drops)
-        dropped.update(dropped_now)
+        dropped_now = _select_drops(table, flows, drop_history, config)
         drop_history.extend(dropped_now)
         trace.append(IterationRecord(iteration, solution.objective_value, dropped_now))
 

@@ -75,11 +75,30 @@ def test_schedule_to_flows_rejects_infeasible_start(dish_washer_instance):
         a.schedule_to_flows(dish_washer_instance, (23,))  # start set is 0..22
 
 
+def test_non_integer_starts_rejected():
+    inst = a.generate_instance(2, 3)
+    for call in (a.validate_schedule, a.schedule_to_flows, a.load_profile_from_schedule):
+        with pytest.raises(InfeasibleFlowError):
+            call(inst, (2.7, 0.9))
+    with pytest.raises(InfeasibleFlowError):
+        a.polish_schedule(inst, a.ObjectiveKind.COST, (2.7, 0.9))
+    assert a.validate_schedule(inst, (np.int64(2), np.int32(0))) == (2, 0)
+
+
+def test_flows_to_schedule_rejects_non_finite_and_misshaped(dish_washer_instance):
+    flows = np.zeros((1, 24))
+    flows[0, 0] = np.nan
+    with pytest.raises(InfeasibleFlowError):
+        a.flows_to_schedule(dish_washer_instance, flows)
+    with pytest.raises(InfeasibleFlowError):
+        a.flows_to_schedule(dish_washer_instance, np.eye(2, 24))
+
+
 def test_flows_to_schedule_fractional_raises(dish_washer_instance):
     flows = np.zeros((1, 24))
     flows[0, 0] = flows[0, 1] = 0.5
     with pytest.raises(NotIntegralError) as info:
-        a.flows_to_schedule(dish_washer_instance, flows, integral_tol=1e-6)
+        a.flows_to_schedule(dish_washer_instance, flows)
     assert info.value.user == 0
 
 
@@ -87,7 +106,7 @@ def test_flows_to_schedule_threshold_boundary(dish_washer_instance):
     flows = np.zeros((1, 24))
     flows[0, 5] = 0.9999999
     flows[0, 6] = 1e-7
-    assert a.flows_to_schedule(dish_washer_instance, flows, integral_tol=1e-6) == (5,)
+    assert a.flows_to_schedule(dish_washer_instance, flows) == (5,)
 
 
 def test_validate_flows_rejections(dish_washer_instance):
@@ -102,10 +121,6 @@ def test_validate_flows_rejections(dish_washer_instance):
     flows = np.zeros((2, 24))
     with pytest.raises(InfeasibleFlowError):
         a.validate_flows(dish_washer_instance, flows)  # wrong shape
-    boolean_bad = np.zeros((1, 24))
-    boolean_bad[0, 0] = boolean_bad[0, 1] = 0.5
-    with pytest.raises(InfeasibleFlowError):
-        a.validate_flows(dish_washer_instance, boolean_bad, boolean=True)
 
 
 def test_energy_conservation_random_flows():

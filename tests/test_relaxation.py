@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import atomsched as a
@@ -128,6 +129,15 @@ def test_dropping_all_starts_of_a_user_rejected():
         a.solve_relaxed_cost(inst, {(0, s) for s in sets_[0]})
     with pytest.raises(InvalidInstanceError):
         a.solve_relaxed_cost(inst, {(0, 99)})
+
+
+def test_non_integer_drops_rejected():
+    inst = a.generate_instance(2, 3)
+    for dropped in ({(0, 2.7)}, {(0.5, 3)}):
+        with pytest.raises(InvalidInstanceError):
+            a.solve_relaxed_cost(inst, dropped)
+    numpy_pair = {(np.int64(0), np.int32(2))}
+    assert a.solve_relaxed_cost(inst, numpy_pair).flows[0, 2] == 0.0
 
 
 def test_solution_iterations_reported():
