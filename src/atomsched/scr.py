@@ -4,17 +4,25 @@ Each round solves the current relaxation, stops if every user's flow row is
 already one-hot, and otherwise drops (permanently zeroes out) a batch of small
 fractional variables among the flow columns still live before re-solving:
 
-* the per-row maximum element is protected (ties go to the lowest start slot),
-* remaining elements below 1 - INTEGRAL_TOL are sorted ascending by value
-  (ties by user then start slot),
+* each row's leading element, the lowest start slot within INTEGRAL_TOL of
+  the row maximum, is protected,
+* remaining elements below 1 - INTEGRAL_TOL are sorted ascending by value;
+  values within INTEGRAL_TOL of the smallest count as equal to it, and ties
+  go by user, then start slot,
 * the smallest is always dropped; further elements follow while they stay
   below ``drop_threshold`` and the per-round budget ``max_drops_per_iteration``
   is not exhausted.
 
+Values this close are the same to the solver's accuracy, so last-bit
+rounding in the linear algebra cannot change which one is protected, kept
+or dropped first.
+
 The first round's relaxed optimum is a valid lower bound on the Boolean
 optimum. For the upper bound, every round's solution is rounded to a feasible
-schedule (per-row argmax) and refined by deterministic coordinate descent;
-the best candidate seen along the trajectory is returned. Rounding alone is
+schedule (each row's leading element) and refined by deterministic coordinate
+descent; the best candidate seen along the trajectory is returned, and a
+later candidate replaces it only when better by more than the margin polish
+uses for a move. Rounding alone is
 unreliable because fractional values rank a start's usefulness for flattening
 the *relaxed* load, not its standalone cost. A round whose rounded schedule
 was already refined earlier in the run reuses that result, which has already
@@ -40,6 +48,11 @@ from .relaxation import (
     par_ratio_from_peak,
     solve_relaxed,
 )
+
+
+#: a polish move, or a later candidate over the incumbent, must improve the
+#: objective by more than this
+_IMPROVEMENT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,12 +142,17 @@ def polish_schedule(
             best_s = starts[n]
             best_v = _boolean_objective(table, objective, loads)
             for s, value in zip(table.start_sets[n], values.tolist()):
-                if value < best_v - 1e-12:
+                if value < best_v - _IMPROVEMENT:
                     best_v, best_s = value, s
             if best_s != starts[n]:
                 starts[n] = best_s
                 moved = True
     return tuple(starts)
+
+
+def _leading_starts(flows: np.ndarray) -> np.ndarray:
+    """Per row, the lowest start slot within INTEGRAL_TOL of the row maximum."""
+    return (flows >= flows.max(axis=1, keepdims=True) - INTEGRAL_TOL).argmax(axis=1)
 
 
 def _select_drops(
@@ -143,15 +161,17 @@ def _select_drops(
 ) -> tuple[tuple[int, int], ...]:
     """One round's drops, by the rule in the module docstring, from relaxed
     flows solved under ``dropped``: zero off the live columns, so each row's
-    argmax is its live maximum at the lowest slot."""
+    leading element is live."""
     live = table.live(dropped)
     users, starts = table.users[live], table.starts[live]
     values = flows[users, starts]
-    protected = flows.argmax(axis=1)[users] == starts
+    protected = _leading_starts(flows)[users] == starts
     droppable = ~protected & (values < 1.0 - INTEGRAL_TOL)
     if not droppable.any():
         raise SolverError("no droppable element although the solution is fractional")
     users, starts, values = users[droppable], starts[droppable], values[droppable]
+    smallest = values.min()
+    values = np.where(values <= smallest + INTEGRAL_TOL, smallest, values)
     order = np.lexsort((starts, users, values))
     small = np.count_nonzero(values[order[1:]] < config.drop_threshold)
     order = order[: 1 + min(small, config.max_drops_per_iteration - 1)]
@@ -189,7 +209,7 @@ def successive_convex_relaxation(
         # test the live flows
         integral = bool(one_hot_rows(flows).all())
 
-        rounded = tuple(int(s) for s in flows.argmax(axis=1))
+        rounded = tuple(_leading_starts(flows).tolist())
         if (config.polish or integral) and rounded not in scored:
             # each round's rounded-and-descended schedule is a feasible
             # candidate; keep the best one seen along the whole trajectory
@@ -200,7 +220,7 @@ def successive_convex_relaxation(
             value = _boolean_objective(
                 table, objective, table.schedule_loads(schedule)
             )
-            if value < incumbent_value:
+            if value < incumbent_value - _IMPROVEMENT:
                 incumbent, incumbent_value = schedule, value
 
         if integral:

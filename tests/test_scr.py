@@ -1,11 +1,16 @@
+import json
+import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import atomsched as a
+from atomsched import scr
 
 COST = a.ObjectiveKind.COST
 PAR = a.ObjectiveKind.PAR
+STALLING_DROPS = pathlib.Path(__file__).with_name("data") / "stalling_par_drops.json"
 
 
 def max_rounds_bound(instance):
@@ -133,6 +138,27 @@ def test_polish_schedule_descends_to_local_optimum():
     assert a.polish_schedule(inst, COST, polished) == polished
 
 
+def test_near_tied_flows_drop_and_keep_by_user_and_slot():
+    """Two identical appliances whose flows differ only in the last bits, as
+    solver output for identical users does: user 1's copy of the smallest
+    value is 1e-15 smaller and of the row maximum 1e-15 larger. Values within
+    INTEGRAL_TOL tie, so the first drop is the lowest (user, slot) and both
+    rows keep their lowest slot."""
+    twins = [a.Appliance.constant("twin", 0, 5, 2, 1.0)] * 2
+    instance = a.ProblemInstance(24, twins, [0.1] * 24)
+    table = a.PlacementTable(instance)
+    flows = np.zeros((2, 24))
+    flows[:, :5] = [0.4, 0.4, 0.1, 0.05, 0.05]
+    flows[1, 1] += 1e-15
+    flows[1, 4] -= 1e-15
+    assert scr._select_drops(table, flows, [], a.SCRConfig()) == ((0, 3),)
+    everything = a.SCRConfig(drop_threshold=0.5, max_drops_per_iteration=10)
+    assert scr._select_drops(table, flows, [], everything) == (
+        (0, 3), (0, 4), (1, 3), (1, 4), (0, 2), (1, 2), (0, 1), (1, 1)
+    )
+    assert scr._leading_starts(flows).tolist() == [0, 0]
+
+
 def test_iteration_limit_error():
     inst = a.generate_instance(3, 2)
     with pytest.raises(a.IterationLimitError):
@@ -168,9 +194,11 @@ def test_sweep_rows_and_determinism():
 def stalling_par_instance():
     """Ten constant-level appliances on the catalog's windows and durations.
 
-    At SCR round 178 the PAR relaxation converges in gap and dual residual by
-    IPM iteration 7, but its primal residual stalls near 1e-7, above the
-    tolerance; the iterates then shrink towards zero until they overflow.
+    Under an earlier drop tie rule, SCR reached a round-178 PAR relaxation,
+    with the drops in ``stalling_round_drops()``, that converges in gap and
+    dual residual by IPM iteration 7, but whose primal residual stalls near
+    1e-7, above the tolerance; the iterates then shrink towards zero until
+    they overflow.
     """
     levels = (
         ("clothes_dryer", 0.553),
@@ -192,22 +220,20 @@ def stalling_par_instance():
     return a.ProblemInstance(24, appliances, a.default_cost_coefficients())
 
 
+def stalling_round_drops():
+    """The 177 drops made before the stalling round, in drop order."""
+    return [tuple(pair) for pair in json.loads(STALLING_DROPS.read_text())]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_relaxed_solve_stops_at_first_non_finite_iterate():
     limit = a.SolverSettings().max_solver_iterations
     with pytest.raises(a.SolverError, match=r"numerical_failure") as info:
-        a.successive_convex_relaxation(stalling_par_instance(), PAR)
+        a.solve_relaxed_par(stalling_par_instance(), stalling_round_drops())
     iterations = int(re.search(r"after (\d+) iterations", str(info.value)).group(1))
     assert iterations < limit
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.xfail(
-    strict=True,
-    raises=a.SolverError,
-    reason="the round-178 PAR relaxation stalls; a lower bound certified for "
-    "loose iterates would let SCR go on",
-)
 def test_scr_par_completes_on_stalling_instance():
     result = a.successive_convex_relaxation(stalling_par_instance(), PAR)
     assert result.lower_bound <= result.upper_bound + 1e-6

@@ -2,8 +2,9 @@
 
 The expected values in ``data/scr_golden.json`` were recorded from the
 straightforward per-candidate polish loop, before the placement table and the
-polish memo went in. Re-record them only for a change that is meant to move
-SCR's results:
+polish memo went in; only the drop histories were re-recorded when values
+within INTEGRAL_TOL started to tie in drop selection. Re-record them only for
+a change that is meant to move SCR's results:
 
     PYTHONPATH=src python tests/test_scr_golden.py
 """
