@@ -1,17 +1,29 @@
-"""Primal-dual interior-point solver for box-free standard-form problems.
+"""Primal-dual interior-point solver for simplex-structured convex problems.
 
 Solves   minimize    sum_k w_k * (G x)_k^2  +  c . x
-         subject to  A x = b,   x >= 0
+         subject to  sum_{j in group n} x_j = 1   for every simplex group n,
+                     C x = d,   x >= 0
 
-with Mehrotra predictor-corrector steps. The quadratic part is supplied in
-factored form (G, w), which keeps the Newton systems small: the objective's
-Hessian is 2 G' diag(w) G, so the (Q + X^-1 Z) solves reduce via the
-Woodbury identity to one dense system of size len(w) per iteration plus a
-Schur complement of size n_constraints. Upper bounds x <= 1 are intentionally
-not modeled; for per-user simplex rows they are implied by the equalities.
+with Mehrotra predictor-corrector steps. The groups are contiguous column
+runs from column 0 (one per user in the flow layout); later columns are in
+no group. C holds the dense coupling rows, and the quadratic part comes in
+factored form (G, w).
 
-Both the quadratic cost relaxation and the peak-minimization LP (Q = 0) go
-through this one entry point.
+Each Newton step eliminates the simplex rows in closed form (Wright,
+*Primal-Dual Interior-Point Methods*, SIAM 1997): with D = Z/X, centring the
+stacked rows F = [G; C] per group with the weights x/z gives F~, and one
+symmetric positive definite system of size K = rows of F,
+
+    (F~ D^-1 F~' + diag((2w)^-1, 0)) u = r,
+
+yields u; dx and the duals follow with O(n K) products. Two corrections to
+each step taken make up for the rounding of terms as large as x/z: one round
+of iterative refinement, without which the coupling residual of a degenerate
+LP can stall above the tolerance, and restoring each group's sum along the
+x/z weights, without which the objective follows the last bits of the BLAS
+kernel (by up to 1e-10 relative). The simplex rows imply x <= 1.
+
+Both the cost relaxation and the peak LP (G empty) use this one entry point.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ _STEP_SCALE = 0.9995  # fraction of the distance to the boundary taken per step
 @dataclass(frozen=True)
 class IpmResult:
     x: np.ndarray
+    #: duals of the simplex rows, then of the coupling rows
     eq_duals: np.ndarray
     bound_duals: np.ndarray
     objective: float
@@ -45,13 +58,13 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive (semi)definite system, adding a progressively
     larger diagonal ridge if late-stage degeneracy makes it numerically
     singular. The first ridge is ~1e-12 relative, far below solver tolerance."""
-    scale = float(np.trace(matrix)) / matrix.shape[0] + 1.0
     ridge = 0.0
     while True:
         try:
             if ridge == 0.0:
                 return np.linalg.solve(matrix, rhs)
             bumped = matrix.copy()
+            scale = float(np.trace(matrix)) / matrix.shape[0] + 1.0
             bumped[np.diag_indices_from(bumped)] += ridge * scale
             return np.linalg.solve(bumped, rhs)
         except np.linalg.LinAlgError:
@@ -60,35 +73,13 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 raise
 
 
-class _ScaledSystem:
-    """Applies (Q + diag(d))^-1 for the current barrier scaling d = z/x."""
-
-    def __init__(self, quad_factor, quad_weights, d):
-        self.dinv = 1.0 / d
-        self.factor = quad_factor
-        if quad_factor is None:
-            self.inner = None
-        else:
-            scaled = quad_factor * self.dinv[None, :]
-            self.inner = scaled @ quad_factor.T
-            self.inner[np.diag_indices_from(self.inner)] += 0.5 / quad_weights
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        dinv = self.dinv if v.ndim == 1 else self.dinv[:, None]
-        dv = dinv * v
-        if self.factor is None:
-            return dv
-        t = self.factor @ dv
-        u = _solve_spd(self.inner, t)
-        return dv - dinv * (self.factor.T @ u)
-
-
 def solve_standard_form(
     quad_factor: np.ndarray | None,
     quad_weights: np.ndarray | None,
     linear: np.ndarray | None,
-    eq_matrix: np.ndarray,
-    eq_rhs: np.ndarray,
+    group_sizes,
+    coupling: np.ndarray | None,
+    coupling_rhs: np.ndarray | None,
     x0: np.ndarray,
     tolerance: float = 1e-8,
     max_iterations: int = 200,
@@ -97,101 +88,134 @@ def solve_standard_form(
 
     quad_factor (K, M) and quad_weights (K,) define the quadratic term; pass
     None for a pure LP. Rows whose weight is zero, or so small that its
-    inverse overflows, are discarded. ``x0`` must be strictly positive and
-    should roughly satisfy the equalities.
+    inverse overflows, are discarded. ``group_sizes`` lists the column count
+    of each simplex group, in column order from column 0; ``coupling`` and
+    ``coupling_rhs`` are the dense rows C and d, or None. ``x0`` must be
+    strictly positive and should roughly satisfy the equalities.
     """
-    A = np.asarray(eq_matrix, dtype=np.float64)
-    b = np.asarray(eq_rhs, dtype=np.float64)
-    n_eq, n_var = A.shape
-
-    G = None
-    w = None
-    if quad_factor is not None:
-        weights = np.asarray(quad_weights, dtype=np.float64)
-        # the scaled system adds 0.5 / w: drop weights that overflow it, like zeros
-        keep = weights > 0.5 / np.finfo(np.float64).max
-        if keep.any():
-            G = np.ascontiguousarray(np.asarray(quad_factor, dtype=np.float64)[keep])
-            w = weights[keep]
-    c = (
-        np.zeros(n_var)
-        if linear is None
-        else np.asarray(linear, dtype=np.float64).copy()
-    )
-
-    def gradient(x):
-        if G is None:
-            return c
-        return 2.0 * (G.T @ (w * (G @ x))) + c
-
-    def objective(x):
-        val = float(c @ x)
-        if G is not None:
-            gx = G @ x
-            val += float(w @ (gx * gx))
-        return val
-
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.min() <= 0.0:
         raise ValueError("x0 must be strictly positive")
-    y = np.zeros(n_eq)
+    n_var = len(x)
+    sizes = np.asarray(group_sizes, dtype=np.intp)
+    if sizes.min(initial=1) < 1:
+        raise ValueError("every simplex group needs at least one column")
+    heads = np.cumsum(sizes) - sizes
+    grouped = int(sizes.sum())
+    group_of = np.repeat(np.arange(len(sizes)), sizes)
+
+    G, w = np.zeros((0, n_var)), np.zeros(0)
+    if quad_factor is not None:
+        weights = np.asarray(quad_weights, dtype=np.float64)
+        # the system adds 0.5 / w: drop weights that overflow it, like zeros
+        keep = weights > 0.5 / np.finfo(np.float64).max
+        G, w = np.asarray(quad_factor, dtype=np.float64)[keep], weights[keep]
+    n_quad = len(w)
+    C = np.zeros((0, n_var)) if coupling is None else np.asarray(coupling, dtype=np.float64)
+    d = np.zeros(len(C)) if coupling is None else np.asarray(coupling_rhs, dtype=np.float64)
+    F = np.vstack([G, C])
+    quad_diag = np.diag_indices(n_quad)
+    c = np.zeros(n_var) if linear is None else np.asarray(linear, dtype=np.float64)
+
+    def group_sums(v):
+        return np.add.reduceat(v[..., :grouped], heads, axis=-1)
+
+    def gradient(x):
+        return 2.0 * (G.T @ (w * (G @ x))) + c if n_quad else c
+
+    def objective(x):
+        gx = G @ x
+        return float(c @ x) + float(w @ (gx * gx)) if n_quad else float(c @ x)
+
+    def residuals(x, y_e, y_c, z):
+        """Gradient, dual residual and the two primal residuals at an iterate."""
+        gradient_x = gradient(x)
+        r_d = gradient_x - C.T @ y_c - z
+        r_d[:grouped] -= y_e[group_of]
+        return gradient_x, r_d, group_sums(x) - 1.0, C @ x - d
+
+    y_e = np.zeros(len(sizes))
+    y_c = np.zeros(len(d))
     z = np.ones(n_var)
 
-    b_scale = 1.0 + float(np.abs(b).max(initial=0.0))
+    # 1 + the largest right-hand side: 1 for every simplex row, then d
+    b_scale = 1.0 + float(np.abs(d).max(initial=1.0 if len(sizes) else 0.0))
     status = "iteration_limit"
     iterations = 0
 
-    def converged(r_p, r_d, gap, obj, factor=1.0):
+    def converged(gradient_x, r_d, r_e, r_c, gap, obj, factor=1.0):
         tol = tolerance * factor
+        r_p = max(np.abs(r_e).max(initial=0.0), np.abs(r_c).max(initial=0.0))
         return (
             gap <= tol * (1.0 + abs(obj))
-            and np.abs(r_p).max(initial=0.0) <= tol * b_scale
+            and r_p <= tol * b_scale
             and np.abs(r_d).max(initial=0.0) <= tol * (1.0 + np.abs(gradient_x).max())
         )
 
     try:
         for iterations in range(1, max_iterations + 1):
-            gradient_x = gradient(x)
-            r_d = gradient_x - A.T @ y - z
-            r_p = A @ x - b
+            gradient_x, r_d, r_e, r_c = residuals(x, y_e, y_c, z)
             gap = float(x @ z)
-            obj = objective(x)
-            if converged(r_p, r_d, gap, obj):
+            if converged(gradient_x, r_d, r_e, r_c, gap, objective(x)):
                 status = "optimal"
                 iterations -= 1
                 break
 
             mu = gap / n_var
-            system = _ScaledSystem(G, w, z / x)
-            kinv_at = system.apply(A.T)
-            schur = A @ kinv_at
+            dinv = x / z
+            delta = group_sums(dinv)
+            # rows centred per group with weights x/z: F~ = F - Fbar per group
+            f_bar = group_sums(F * dinv) / delta
+            f_tilde = F.copy()
+            f_tilde[:, :grouped] -= f_bar[:, group_of]
+            system = (f_tilde * dinv) @ f_tilde.T
+            system[quad_diag] += 0.5 / w
 
-            def direction(rc):
+            def direction(rc, refine):
                 v = -r_d + rc / x
-                t = system.apply(v)
-                dy = _solve_spd(schur, -(r_p + A @ t))
-                dx = t + kinv_at @ dy
+                # a group dual step of -shift makes each group's dx sum to -r_e
+                shift = (group_sums(dinv * v) + r_e) / delta
+                t = v.copy()
+                t[:grouped] -= shift[group_of]
+                t *= dinv
+                rhs = -(F @ t)
+                rhs[n_quad:] -= r_c
+                u = _solve_spd(system, rhs)
+                dx = t + dinv * (f_tilde.T @ u)
+                if refine:
+                    # the step taken: iterative refinement, then the group
+                    # sums (module docstring); the predictor only sets sigma
+                    residual = F @ dx
+                    residual[:n_quad] += 0.5 / w * u[:n_quad]
+                    residual[n_quad:] += r_c
+                    du = _solve_spd(system, -residual)
+                    u += du
+                    dx += dinv * (f_tilde.T @ du)
+                    fix = (group_sums(dx) + r_e) / delta
+                    dx[:grouped] -= dinv[:grouped] * fix[group_of]
+                    shift += fix
                 dz = (rc - z * dx) / x
-                return dx, dy, dz
+                return dx, -shift - f_bar.T @ u, u[n_quad:], dz
 
             # predictor: pure Newton step toward complementarity zero
-            dx_a, dy_a, dz_a = direction(-x * z)
+            dx_a, _, _, dz_a = direction(-x * z, False)
             alpha_p = _step_length(x, dx_a)
             alpha_d = _step_length(z, dz_a)
             mu_aff = float((x + alpha_p * dx_a) @ (z + alpha_d * dz_a)) / n_var
             sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10)) if mu > 0.0 else 0.0
 
             # corrector: recenter and compensate the predictor's curvature
-            dx, dy, dz = direction(sigma * mu - x * z - dx_a * dz_a)
+            dx, dy_e, dy_c, dz = direction(sigma * mu - x * z - dx_a * dz_a, True)
             alpha_p = _STEP_SCALE * _step_length(x, dx)
             alpha_d = _STEP_SCALE * _step_length(z, dz)
             if max(alpha_p, alpha_d) < 1e-13:
                 status = "numerical_failure"
                 break
             x = x + alpha_p * dx
-            y = y + alpha_d * dy
+            y_e = y_e + alpha_d * dy_e
+            y_c = y_c + alpha_d * dy_c
             z = z + alpha_d * dz
-            if not all(np.isfinite(v).all() for v in (x, y, z)):
+            if not all(np.isfinite(v).all() for v in (x, y_e, y_c, z)):
                 # a non-finite iterate never recovers: stop instead of
                 # iterating on NaN up to the limit
                 status = "numerical_failure"
@@ -202,15 +226,13 @@ def solve_standard_form(
     if status != "optimal":
         # accept a mildly looser iterate rather than discarding a usable one
         # (typical when endgame degeneracy stalls the last digits of the gap)
-        gradient_x = gradient(x)
-        r_d = gradient_x - A.T @ y - z
-        r_p = A @ x - b
-        if converged(r_p, r_d, float(x @ z), objective(x), factor=100.0):
+        gradient_x, r_d, r_e, r_c = residuals(x, y_e, y_c, z)
+        if converged(gradient_x, r_d, r_e, r_c, float(x @ z), objective(x), factor=100.0):
             status = "optimal"
 
     return IpmResult(
         x=x,
-        eq_duals=y,
+        eq_duals=np.concatenate([y_e, y_c]),
         bound_duals=z,
         objective=objective(x),
         iterations=iterations,

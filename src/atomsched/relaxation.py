@@ -6,7 +6,10 @@ row supported on the feasible start set. Cost minimization becomes a convex
 QP; peak minimization becomes an LP via an auxiliary peak variable bounded
 below by every slot load. Only the flow columns live under the drop set
 (``PlacementTable.live``) are variables, in layout order; the rest are
-eliminated before the solve rather than pinned to zero.
+eliminated before the solve rather than pinned to zero. The layout keeps each
+user's columns contiguous, so they are the solver's simplex groups, which its
+Newton step eliminates in closed form; the PAR LP's slot-load rows are its only
+dense rows, with the peak and slack columns in no group.
 """
 
 from __future__ import annotations
@@ -70,8 +73,6 @@ class _Packing:
             )
         self.n_var = len(self.users)
         self.loads_of = np.ascontiguousarray(table.rows[self.users, self.starts].T)
-        self.simplex = np.zeros((instance.n_users, self.n_var))
-        self.simplex[self.users, np.arange(self.n_var)] = 1.0
 
     def uniform_start(self) -> np.ndarray:
         return 1.0 / self.per_user[self.users]
@@ -114,8 +115,9 @@ def solve_relaxed_cost(
         quad_factor=packing.loads_of,
         quad_weights=weights,
         linear=None,
-        eq_matrix=packing.simplex,
-        eq_rhs=np.ones(instance.n_users),
+        group_sizes=packing.per_user,
+        coupling=None,
+        coupling_rhs=None,
         x0=packing.uniform_start(),
         tolerance=settings.tolerance,
         max_iterations=settings.max_solver_iterations,
@@ -137,16 +139,13 @@ def solve_relaxed_par(
     """
     packing = _Packing(instance, dropped)
     horizon = instance.horizon
-    n_users = instance.n_users
     m = packing.n_var
-    # variables: [flows (m), peak (1), slacks (horizon)]
+    # variables: [flows (m), peak (1), slacks (horizon)]; the load rows
+    # loads - peak + slack = 0 couple them, the flows alone form the groups
     n_var = m + 1 + horizon
-    eq = np.zeros((n_users + horizon, n_var))
-    eq[:n_users, :m] = packing.simplex
-    eq[n_users:, :m] = packing.loads_of
-    eq[n_users:, m] = -1.0
-    eq[n_users:, m + 1 :] = np.eye(horizon)
-    rhs = np.concatenate([np.ones(n_users), np.zeros(horizon)])
+    load_rows = np.hstack(
+        [packing.loads_of, np.full((horizon, 1), -1.0), np.eye(horizon)]
+    )
     cost = np.zeros(n_var)
     cost[m] = 1.0
 
@@ -160,8 +159,9 @@ def solve_relaxed_par(
         quad_factor=None,
         quad_weights=None,
         linear=cost,
-        eq_matrix=eq,
-        eq_rhs=rhs,
+        group_sizes=packing.per_user,
+        coupling=load_rows,
+        coupling_rhs=np.zeros(horizon),
         x0=x0,
         tolerance=settings.tolerance,
         max_iterations=settings.max_solver_iterations,
