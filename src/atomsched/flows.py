@@ -67,20 +67,39 @@ class PlacementTable:
         offsets = (np.arange(horizon)[None, :] - np.arange(horizon)[:, None]) % horizon
         self.rows = padded[:, offsets]
         self.users, self.starts, self.feasible = flow_columns(instance)
+        # column of each (user, start) pair, -1 where it names none, with one
+        # row and one column of padding for every pair out of range
+        self._bounds = np.array([[instance.n_users], [horizon]], dtype=np.uintp)
+        self._columns = np.full((instance.n_users + 1, horizon + 1), -1)
+        self._columns[self.users, self.starts] = np.arange(len(self.users))
         self.coefficients = np.asarray(instance.cost_coefficients)
         self.total_energy = instance_total_energy(instance)
 
     def live(self, dropped: Collection[tuple[int, int]]) -> np.ndarray:
         """Column mask of the flow variables left after ``dropped``; raises
-        InvalidInstanceError for a pair that does not name a flow variable."""
-        keep = self.feasible.copy()
-        for n, s in dropped:
-            if not _is_flow_variable(self.feasible, n, s):
-                raise InvalidInstanceError(
-                    f"drop ({n}, {s}) does not name a feasible start variable"
-                )
-            keep[int(n), int(s)] = False
-        return keep[self.users, self.starts]
+        InvalidInstanceError for the first pair that does not name a flow
+        variable."""
+        pairs = list(dropped)
+        index = np.asarray(pairs) if pairs else np.empty((0, 2), dtype=np.intp)
+        if index.dtype.kind not in "iu" or index.shape[1:] != (2,):
+            # not all machine-integer pairs: check each pair on its own
+            index = np.array([
+                [operator.index(n), operator.index(s)]
+                if _is_flow_variable(self.feasible, n, s) else [-1, -1]
+                for n, s in pairs
+            ], dtype=np.intp)
+        # negative entries wrap to huge unsigned ones; all out-of-range pairs
+        # land on the padding, which names no column
+        n, s = np.minimum(index.astype(np.uintp).T, self._bounds)
+        columns = self._columns[n, s]
+        if columns.min(initial=0) < 0:
+            n, s = pairs[int(np.argmin(columns))]
+            raise InvalidInstanceError(
+                f"drop ({n}, {s}) does not name a feasible start variable"
+            )
+        keep = np.ones(len(self.users), dtype=bool)
+        keep[columns] = False
+        return keep
 
     def flow_loads(self, flows: np.ndarray) -> np.ndarray:
         """Per-slot load of a flow matrix; only in-window entries count."""
