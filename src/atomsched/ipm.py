@@ -18,10 +18,11 @@ symmetric positive definite system of size K = rows of F,
 
 yields u; dx and the duals follow with O(n K) products. Two corrections to
 each step taken make up for the rounding of terms as large as x/z: one round
-of iterative refinement, without which the coupling residual of a degenerate
-LP can stall above the tolerance, and restoring each group's sum along the
-x/z weights, without which the objective follows the last bits of the BLAS
-kernel (by up to 1e-10 relative). The simplex rows imply x <= 1.
+of iterative refinement, folded into the corrector's solve, without which the
+coupling residual of a degenerate LP can stall above the tolerance, and
+restoring each group's sum along the x/z weights, without which the
+objective follows the last bits of the BLAS kernel (by up to 1e-10
+relative). The simplex rows imply x <= 1.
 
 Both the cost relaxation and the peak LP (G empty) use this one entry point.
 """
@@ -51,7 +52,7 @@ def _step_length(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0.0
     if not neg.any():
         return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
+    return min(1.0, -float((v[neg] / dv[neg]).max()))
 
 
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -110,11 +111,10 @@ def solve_standard_form(
         # the system adds 0.5 / w: drop weights that overflow it, like zeros
         keep = weights > 0.5 / np.finfo(np.float64).max
         G, w = np.asarray(quad_factor, dtype=np.float64)[keep], weights[keep]
-    n_quad = len(w)
+    n_quad, half_inv_w = len(w), 0.5 / w
     C = np.zeros((0, n_var)) if coupling is None else np.asarray(coupling, dtype=np.float64)
     d = np.zeros(len(C)) if coupling is None else np.asarray(coupling_rhs, dtype=np.float64)
     F = np.vstack([G, C])
-    quad_diag = np.diag_indices(n_quad)
     c = np.zeros(n_var) if linear is None else np.asarray(linear, dtype=np.float64)
 
     def group_sums(v):
@@ -124,8 +124,10 @@ def solve_standard_form(
         return 2.0 * (G.T @ (w * (G @ x))) + c if n_quad else c
 
     def objective(x):
+        if not n_quad:
+            return float(c @ x)
         gx = G @ x
-        return float(c @ x) + float(w @ (gx * gx)) if n_quad else float(c @ x)
+        return float(c @ x) + float(w @ (gx * gx))
 
     def residuals(x, y_e, y_c, z):
         """Gradient, dual residual and the two primal residuals at an iterate."""
@@ -145,10 +147,10 @@ def solve_standard_form(
 
     def converged(gradient_x, r_d, r_e, r_c, gap, obj, factor=1.0):
         tol = tolerance * factor
-        r_p = max(np.abs(r_e).max(initial=0.0), np.abs(r_c).max(initial=0.0))
         return (
             gap <= tol * (1.0 + abs(obj))
-            and r_p <= tol * b_scale
+            and np.abs(r_e).max(initial=0.0) <= tol * b_scale
+            and np.abs(r_c).max(initial=0.0) <= tol * b_scale
             and np.abs(r_d).max(initial=0.0) <= tol * (1.0 + np.abs(gradient_x).max())
         )
 
@@ -162,58 +164,63 @@ def solve_standard_form(
                 break
 
             mu = gap / n_var
-            dinv = x / z
+            dinv, z_over_x = x / z, z / x
             delta = group_sums(dinv)
             # rows centred per group with weights x/z: F~ = F - Fbar per group
             f_bar = group_sums(F * dinv) / delta
             f_tilde = F.copy()
             f_tilde[:, :grouped] -= f_bar[:, group_of]
             system = (f_tilde * dinv) @ f_tilde.T
-            system[quad_diag] += 0.5 / w
+            if n_quad:
+                system[np.diag_indices(n_quad)] += half_inv_w
+            dinv_grouped = dinv[:grouped]
 
-            def direction(rc, refine):
-                v = -r_d + rc / x
-                # a group dual step of -shift makes each group's dx sum to -r_e
-                shift = (group_sums(dinv * v) + r_e) / delta
-                t = v.copy()
-                t[:grouped] -= shift[group_of]
-                t *= dinv
-                rhs = -(F @ t)
-                rhs[n_quad:] -= r_c
-                u = _solve_spd(system, rhs)
-                dx = t + dinv * (f_tilde.T @ u)
-                if refine:
-                    # the step taken: iterative refinement, then the group
-                    # sums (module docstring); the predictor only sets sigma
-                    residual = F @ dx
-                    residual[:n_quad] += 0.5 / w * u[:n_quad]
-                    residual[n_quad:] += r_c
-                    du = _solve_spd(system, -residual)
-                    u += du
-                    dx += dinv * (f_tilde.T @ du)
-                    fix = (group_sums(dx) + r_e) / delta
-                    dx[:grouped] -= dinv[:grouped] * fix[group_of]
-                    shift += fix
-                dz = (rc - z * dx) / x
-                return dx, -shift - f_bar.T @ u, u[n_quad:], dz
+            def centred(q, r):
+                """D^-1 (q - shift) with a shift per group that makes each
+                group's entries sum to -r, and the shift."""
+                t = dinv * q
+                shift = (group_sums(t) + r) / delta
+                t[:grouped] -= dinv_grouped * shift[group_of]
+                return t, shift
 
             # predictor: pure Newton step toward complementarity zero
-            dx_a, _, _, dz_a = direction(-x * z, False)
+            t, shift = centred(-z - r_d, r_e)
+            rhs = -(F @ t)
+            rhs[n_quad:] -= r_c
+            u = _solve_spd(system, rhs)
+            dx_a = t + dinv * (f_tilde.T @ u)
+            dz_a = -z - z_over_x * dx_a
             alpha_p = _step_length(x, dx_a)
             alpha_d = _step_length(z, dz_a)
             mu_aff = float((x + alpha_p * dx_a) @ (z + alpha_d * dz_a)) / n_var
             sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10)) if mu > 0.0 else 0.0
 
-            # corrector: recenter and compensate the predictor's curvature
-            dx, dy_e, dy_c, dz = direction(sigma * mu - x * z - dx_a * dz_a, True)
+            # corrector: recenter and compensate the predictor's curvature.
+            # It is solved as a change to the predictor that also takes back
+            # the predictor's miss of the rows of F, which is one round of
+            # iterative refinement; then the group sums are restored
+            q = (sigma * mu - dx_a * dz_a) / x
+            t, shift_q = centred(q, 0.0)
+            miss = F @ dx_a
+            if n_quad:
+                miss[:n_quad] += half_inv_w * u[:n_quad]
+            miss[n_quad:] += r_c
+            du = _solve_spd(system, -(F @ t) - miss)
+            u += du
+            dx = dx_a + t + dinv * (f_tilde.T @ du)
+            fix = (group_sums(dx) + r_e) / delta
+            dx[:grouped] -= dinv_grouped * fix[group_of]
+            shift += shift_q + fix
+            dz = q - z - z_over_x * dx
+
             alpha_p = _STEP_SCALE * _step_length(x, dx)
             alpha_d = _STEP_SCALE * _step_length(z, dz)
             if max(alpha_p, alpha_d) < 1e-13:
                 status = "numerical_failure"
                 break
             x = x + alpha_p * dx
-            y_e = y_e + alpha_d * dy_e
-            y_c = y_c + alpha_d * dy_c
+            y_e = y_e - alpha_d * (shift + f_bar.T @ u)
+            y_c = y_c + alpha_d * u[n_quad:]
             z = z + alpha_d * dz
             if not all(np.isfinite(v).all() for v in (x, y_e, y_c, z)):
                 # a non-finite iterate never recovers: stop instead of
