@@ -4,25 +4,20 @@ Each round solves the current relaxation, stops if every user's flow row is
 already one-hot, and otherwise drops (permanently zeroes out) a batch of small
 fractional variables among the flow columns still live before re-solving:
 
-* each row's leading element, the lowest start slot within INTEGRAL_TOL of
+* each row's leading element, its lowest start slot within INTEGRAL_TOL of
   the row maximum, is protected,
-* remaining elements below 1 - INTEGRAL_TOL are sorted ascending by value;
-  values within INTEGRAL_TOL of the smallest count as equal to it, and ties
-  go by user, then start slot,
+* remaining elements below 1 - INTEGRAL_TOL are sorted ascending by value,
+  values within INTEGRAL_TOL of the smallest counting as equal to it (ties by
+  user then start slot), so last-bit rounding cannot pick the first drop,
 * the smallest is always dropped; further elements follow while they stay
   below ``drop_threshold`` and the per-round budget ``max_drops_per_iteration``
   is not exhausted.
 
-Values this close are the same to the solver's accuracy, so last-bit
-rounding in the linear algebra cannot change which one is protected, kept
-or dropped first.
-
 The first round's relaxed optimum is a valid lower bound on the Boolean
 optimum. For the upper bound, every round's solution is rounded to a feasible
 schedule (each row's leading element) and refined by deterministic coordinate
-descent; the best candidate seen along the trajectory is returned, and a
-later candidate replaces it only when better by more than the margin polish
-uses for a move. Rounding alone is
+descent; the best candidate seen along the trajectory is returned, replaced
+only by one better by more than polish's move margin. Rounding alone is
 unreliable because fractional values rank a start's usefulness for flattening
 the *relaxed* load, not its standalone cost. A round whose rounded schedule
 was already refined earlier in the run reuses that result, which has already
