@@ -6,11 +6,11 @@ in window order). ``scan_range`` returns the minimum objective over an index
 range and the first index attaining it, which makes range splits merge
 deterministically.
 
-The kernel never places a pattern itself. It reads ``placed``, an
-``(n_users, max_radix, horizon)`` array built by ``oracle.pack_instance``
-from the instance's ``flows.PlacementTable``: ``placed[n, k]`` is user n's
-whole load row at its k-th start, and rows past a user's radix are zero.
-A schedule's load is the sum of one row per user, added in user order.
+The kernel never places a pattern itself. It reads the instance's
+``flows.PlacementTable``: digit k of user n selects row k of the user's
+slice of the table's rows (``PlacementTable.user_rows``), the user's whole
+load row at that start. A schedule's load is the sum of one row per user,
+added in user order.
 
 The scan is split over blocks that pair a few schedules of the first users
 (the prefix, possibly empty) with every schedule of the last users (the
@@ -26,38 +26,37 @@ range was partitioned.
 
 An empty range (hi <= lo) gives (inf, -1). The module holds no mutable
 state, so scans may run at once on any number of threads.
-
-Objective codes: 0 = quadratic cost (cents), 1 = peak-to-average ratio.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-COST = 0
-PAR = 1
+from .flows import PlacementTable
+from .objectives import ObjectiveKind
 
 #: schedules per block, which caps a block's working set at this many x horizon floats
 _NUMPY_CHUNK = 1 << 15
 
 
-def _loads(index, radices, placed, horizon):
-    """Load profiles of the schedules at ``index``, summed in user order."""
+def _loads(index, user_rows, horizon):
+    """Load profiles of the schedules at ``index`` over the users whose
+    rows are ``user_rows``, summed in user order."""
     digits, rem = [], np.asarray(index, dtype=np.int64)
-    for radix in radices[::-1]:
-        digits.append(rem % radix)
-        rem = rem // radix
+    for rows in user_rows[::-1]:
+        digits.append(rem % len(rows))
+        rem = rem // len(rows)
     loads = np.zeros((len(rem), horizon))
-    for n, digit in enumerate(reversed(digits)):
-        loads += placed[n][digit]
+    for rows, digit in zip(user_rows, reversed(digits)):
+        loads += rows[digit]
     return loads
 
 
-def _cost(index, radices, placed, horizon, coeffs):
+def _cost(index, user_rows, coeffs):
     """The canonical cost of the schedules at ``index``."""
-    loads = _loads(index, radices, placed, horizon)
+    loads = _loads(index, user_rows, len(coeffs))
     vals = np.zeros(len(loads))
-    for h in range(horizon):
+    for h in range(len(coeffs)):
         vals += coeffs[h] * loads[:, h] * loads[:, h]
     return vals
 
@@ -73,7 +72,7 @@ def _split_point(radices):
     return m, size
 
 
-def _block_peaks(prefix, radices, placed, m):
+def _block_peaks(prefix, suffix_rows):
     """Peak load of each (prefix row, suffix schedule) pair, in index order.
 
     Slot-major loads gain one suffix user at a time, in user order, so each
@@ -81,15 +80,14 @@ def _block_peaks(prefix, radices, placed, m):
     long axis innermost. The last user is added slot by slot.
     """
     loads = np.ascontiguousarray(prefix.T)
-    for n in range(m, len(radices) - 1):
-        level = placed[n, : radices[n]].T[:, :, None]
-        loads = np.add(loads[:, None], level, order="C").reshape(len(loads), -1)
-    last = placed[len(radices) - 1, : radices[-1]].T
+    for rows in suffix_rows[:-1]:
+        loads = np.add(loads[:, None], rows.T[:, :, None], order="C").reshape(len(loads), -1)
+    last = suffix_rows[-1].T
     peaks = np.add.outer(last[0], loads[0])
     for h in range(1, len(loads)):
         np.maximum(peaks, np.add.outer(last[h], loads[h]), out=peaks)
     # axes (last user, ..., user m, prefix row) back to index order
-    return peaks.reshape(*radices[m:][::-1], len(prefix)).transpose().ravel()
+    return peaks.reshape(*[len(r) for r in suffix_rows[::-1]], len(prefix)).transpose().ravel()
 
 
 def _first_min(best, index, vals):
@@ -98,16 +96,10 @@ def _first_min(best, index, vals):
 
 
 def scan_range(
-    lo: int,
-    hi: int,
-    radices: np.ndarray,
-    placed: np.ndarray,
-    horizon: int,
-    coeffs: np.ndarray,
-    mode: int,
-    total_energy: float,
+    lo: int, hi: int, table: PlacementTable, objective: ObjectiveKind
 ) -> tuple[float, int]:
-    """Minimum over schedules lo..hi-1 and the first index attaining it.
+    """Minimum of ``objective`` over schedules lo..hi-1 and the first index
+    attaining it.
 
     Users m..N-1 (``_split_point``) form the suffix. A block pairs
     consecutive prefix schedules (one when the suffix alone exceeds the
@@ -116,9 +108,11 @@ def scan_range(
     if hi <= lo:
         return np.inf, -1
     best = (np.inf, -1)
-    m, size = _split_point(radices)
-    if mode == COST:
-        suffix = _loads(np.arange(size), radices[m:], placed[m:], horizon)
+    user_rows, coeffs = table.user_rows(), table.coefficients
+    horizon = len(coeffs)
+    m, size = _split_point(table.radices)
+    if objective is ObjectiveKind.COST:
+        suffix = _loads(np.arange(size), user_rows[m:], horizon)
         suffix = np.ascontiguousarray(suffix.T)  # slot-major
         # einsum runs numpy's own loops: BLAS would wake its thread pool for
         # every small block, which costs more than the product
@@ -127,18 +121,18 @@ def scan_range(
         # roundings on any path, so each is within gamma_K of the exact cost,
         # and a pair scoring over (1 + 4 gamma_K) times another's cannot have
         # the lower canonical value; 8 gamma_K also covers rounding the cut
-        unit = (2 * len(radices) + horizon + 8) * np.finfo(float).eps / 2
+        unit = (2 * len(user_rows) + horizon + 8) * np.finfo(float).eps / 2
         cut_factor = 1 + 8 * unit / (1 - unit)
     rows = max(1, _NUMPY_CHUNK // size)
     q_end = (hi - 1) // size + 1
     for q0 in range(lo // size, q_end, rows):
-        prefix = _loads(np.arange(q0, min(q0 + rows, q_end)), radices[:m], placed[:m], horizon)
+        prefix = _loads(np.arange(q0, min(q0 + rows, q_end)), user_rows[:m], horizon)
         base = q0 * size
         first = max(lo - base, 0)
-        if mode == PAR:
-            peaks = _block_peaks(prefix, radices, placed, m)[first : hi - base]
+        if objective is not ObjectiveKind.COST:
+            peaks = _block_peaks(prefix, user_rows[m:])[first : hi - base]
             index = np.arange(base + first, base + first + len(peaks))
-            best = _first_min(best, index, (horizon * peaks) / total_energy)
+            best = _first_min(best, index, (horizon * peaks) / table.total_energy)
             continue
         weighted = prefix * coeffs
         scores = 2 * np.einsum("ph,hs->ps", weighted, suffix)
@@ -147,7 +141,7 @@ def scan_range(
         scores = scores.ravel()[first : hi - base]
         index = base + first + np.flatnonzero(scores <= min(scores.min(), best[0]) * cut_factor)
         if len(index):
-            best = _first_min(best, index, _cost(index, radices, placed, horizon, coeffs))
+            best = _first_min(best, index, _cost(index, user_rows, coeffs))
     return best
 
 

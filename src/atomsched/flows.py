@@ -9,7 +9,8 @@ supported on the user's feasible start set.
 The flow variables are the feasible (user, start) pairs in one column layout,
 :func:`flow_columns`; :meth:`PlacementTable.live` masks out a drop set. Every
 "place user n's pattern at start s" result comes from one
-:class:`PlacementTable`, built per call and shared by every layer.
+:class:`PlacementTable`, built per call and shared by every layer: its
+``rows`` hold one load row per flow variable, in that column layout.
 """
 
 from __future__ import annotations
@@ -48,32 +49,45 @@ def one_hot_rows(flows: np.ndarray) -> np.ndarray:
 
 
 class PlacementTable:
-    """Load rows of every (user, start) placement of one instance.
+    """Load rows of every flow variable of one instance.
 
-    ``rows[n, s]`` is the per-slot load of user n's pattern started at slot s
-    (wrapping modulo the horizon), for every s, feasible or not; ``users``,
-    ``starts`` and ``feasible`` are the instance's :func:`flow_columns`, so
-    ``rows[users, starts]`` holds one row per flow variable. The table also
-    carries the cost coefficients as an array and the instance's total energy.
+    ``users``, ``starts`` and ``feasible`` are the instance's
+    :func:`flow_columns`, and ``rows`` is ``(m, horizon)`` with one row per
+    column: the per-slot load of the user's pattern at that start (wrapping
+    modulo the horizon). User n's rows, in window order, are
+    ``rows[heads[n] : heads[n] + radices[n]]`` (:meth:`user_rows`). The table
+    also carries the cost coefficients as an array and the instance's total
+    energy.
     """
 
     def __init__(self, instance: ProblemInstance):
         horizon = instance.horizon
         self.start_sets = start_sets(instance)
-        padded = np.zeros((instance.n_users, horizon))
+        self._padded = np.zeros((instance.n_users, horizon))
         for n, appliance in enumerate(instance.appliances):
-            padded[n, : appliance.duration] = appliance.energy_pattern
-        # rows[n, s, h] = pattern_n[(h - s) % horizon]
-        offsets = (np.arange(horizon)[None, :] - np.arange(horizon)[:, None]) % horizon
-        self.rows = padded[:, offsets]
+            self._padded[n, : appliance.duration] = appliance.energy_pattern
+        # pattern_n[(h - s) % horizon] = padded[n, offsets[s, h]]
+        self._offsets = (np.arange(horizon)[None, :] - np.arange(horizon)[:, None]) % horizon
         self.users, self.starts, self.feasible = flow_columns(instance)
-        # column of each (user, start) pair, -1 where it names none, with one
+        self.rows = self._padded[self.users[:, None], self._offsets[self.starts]]
+        self.radices = np.bincount(self.users, minlength=instance.n_users)
+        self.heads = np.cumsum(self.radices) - self.radices
+        # column of each (user, start) pair, m where it names none, with one
         # row and one column of padding for every pair out of range
         self._bounds = np.array([[instance.n_users], [horizon]], dtype=np.uintp)
-        self._columns = np.full((instance.n_users + 1, horizon + 1), -1)
+        self._columns = np.full((instance.n_users + 1, horizon + 1), len(self.users))
         self._columns[self.users, self.starts] = np.arange(len(self.users))
         self.coefficients = np.asarray(instance.cost_coefficients)
         self.total_energy = instance_total_energy(instance)
+
+    def user_rows(self) -> list[np.ndarray]:
+        """Each user's rows in window order, as views of ``rows``."""
+        return [self.rows[h : h + r] for h, r in zip(self.heads, self.radices)]
+
+    def rows_at_every_start(self) -> np.ndarray:
+        """``(n_users, horizon, horizon)`` load rows at every start, feasible
+        or not, for the cost derivatives; built on each call."""
+        return self._padded[:, self._offsets]
 
     def live(self, dropped: Collection[tuple[int, int]]) -> np.ndarray:
         """Column mask of the flow variables left after ``dropped``; raises
@@ -92,8 +106,8 @@ class PlacementTable:
         # land on the padding, which names no column
         n, s = np.minimum(index.astype(np.uintp).T, self._bounds)
         columns = self._columns[n, s]
-        if columns.min(initial=0) < 0:
-            n, s = pairs[int(np.argmin(columns))]
+        if columns.max(initial=0) == len(self.users):
+            n, s = pairs[int(np.argmax(columns))]
             raise InvalidInstanceError(
                 f"drop ({n}, {s}) does not name a feasible start variable"
             )
@@ -103,11 +117,12 @@ class PlacementTable:
 
     def flow_loads(self, flows: np.ndarray) -> np.ndarray:
         """Per-slot load of a flow matrix; only in-window entries count."""
-        return flows[self.users, self.starts] @ self.rows[self.users, self.starts]
+        return flows[self.users, self.starts] @ self.rows
 
     def schedule_loads(self, starts: Sequence[int]) -> np.ndarray:
-        """Per-slot load of one start per user, summed in user order."""
-        return self.rows[np.arange(len(starts)), list(starts)].sum(axis=0)
+        """Per-slot load of one start per user, summed in user order; an
+        infeasible start raises IndexError."""
+        return self.rows[self._columns[np.arange(len(starts)), list(starts)]].sum(axis=0)
 
 
 def _is_flow_variable(feasible: np.ndarray, n, s) -> bool:
@@ -135,9 +150,8 @@ def validate_schedule(instance: ProblemInstance, schedule: Sequence[int]) -> tup
     return tuple(map(int, starts))
 
 
-def _flow_matrix(instance: ProblemInstance, flows: np.ndarray) -> np.ndarray:
+def _flow_matrix(flows: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     f = np.asarray(flows, dtype=np.float64)
-    shape = (instance.n_users, instance.horizon)
     if f.shape != shape:
         raise InfeasibleFlowError(f"flow matrix shape {f.shape}, expected {shape}")
     if not np.all(np.isfinite(f)):
@@ -154,8 +168,12 @@ def validate_flows(
     this order, an entry above ``tol`` outside the feasible start set, an
     entry outside [0, 1] by more than ``tol``, or a sum off 1 by more than ``tol``.
     """
-    f = _flow_matrix(instance, flows)
-    feasible = flow_columns(instance)[2]
+    return check_flows(flows, flow_columns(instance)[2], tol)
+
+
+def check_flows(flows: np.ndarray, feasible: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`validate_flows` against a feasible mask, such as a table's."""
+    f = _flow_matrix(flows, feasible.shape)
     outside = np.where(feasible, 0.0, np.abs(f))
     low, high = f.min(axis=1), f.max(axis=1)
     totals = np.where(feasible, f, 0.0).sum(axis=1)
@@ -190,7 +208,7 @@ def flows_to_schedule(instance: ProblemInstance, flows: np.ndarray) -> tuple[int
     The first user whose row is not one-hot at a feasible start raises
     NotIntegralError if the row is fractional, else InfeasibleFlowError.
     """
-    f = _flow_matrix(instance, flows)
+    f = _flow_matrix(flows, (instance.n_users, instance.horizon))
     starts = f.argmax(axis=1)
     one_hot = one_hot_rows(f)
     failed = ~(one_hot & flow_columns(instance)[2][np.arange(len(f)), starts])
@@ -213,7 +231,8 @@ def load_profile(
     Each unit of flow at (n, s) deposits the user's energy pattern on the
     ``duration`` slots starting at s (wrapping modulo the horizon).
     """
-    return PlacementTable(instance).flow_loads(validate_flows(instance, flows, tol=tol))
+    table = PlacementTable(instance)
+    return table.flow_loads(check_flows(flows, table.feasible, tol))
 
 
 def load_profile_from_schedule(

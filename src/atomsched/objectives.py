@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from .errors import InvalidInstanceError
-from .flows import FEASIBILITY_TOL, PlacementTable, validate_flows
+from .flows import FEASIBILITY_TOL, PlacementTable, check_flows
 from .model import ProblemInstance
 
 
@@ -62,8 +62,8 @@ def cost_gradient(
     set are computed by the same formula; the solver never uses them.
     """
     table = PlacementTable(instance)
-    loads = table.flow_loads(validate_flows(instance, flows, tol=tol))
-    return 2.0 * (table.rows @ (table.coefficients * loads))
+    loads = table.flow_loads(check_flows(flows, table.feasible, tol))
+    return 2.0 * (table.rows_at_every_start() @ (table.coefficients * loads))
 
 
 def cost_hessian(instance: ProblemInstance) -> np.ndarray:
@@ -74,5 +74,5 @@ def cost_hessian(instance: ProblemInstance) -> np.ndarray:
     pair. Rows and columns are indexed by ``n * horizon + s``.
     """
     table = PlacementTable(instance)
-    rows = table.rows.reshape(-1, instance.horizon)
+    rows = table.rows_at_every_start().reshape(-1, instance.horizon)
     return 2.0 * rows @ (table.coefficients[:, None] * rows.T)

@@ -3,9 +3,10 @@
 This is the ground truth the relaxation bounds are validated against. The
 scan is embarrassingly parallel: each worker takes one contiguous
 mixed-radix index range and runs the one enumeration kernel,
-``_kernels.scan_range``, on it. A schedule's value is bit-identical
-wherever its range starts, so per-range results are pure functions of the
-range and the merged outcome is identical for any worker count. Ties are
+``_kernels.scan_range``, on it with the instance's ``PlacementTable``. A
+schedule's value is bit-identical wherever its range starts, so per-range
+results are pure functions of the range and the merged outcome is identical
+for any worker count. Ties are
 broken toward the lexicographically smallest schedule, comparing starts by
 their pre-modulo window position (so a 10 PM start orders before a midnight
 start of the same wrapped window).
@@ -22,12 +23,7 @@ import numpy as np
 from . import _kernels
 from .errors import TooLargeError
 from .flows import PlacementTable
-from .model import (
-    ProblemInstance,
-    enumeration_size,
-    instance_total_energy,
-    start_sets,
-)
+from .model import ProblemInstance, enumeration_size
 from .objectives import ObjectiveKind
 
 DEFAULT_LIMIT = 100_000_000
@@ -62,25 +58,9 @@ def resolve_workers(requested: int | None = None) -> int:
     return workers
 
 
-def pack_instance(instance: ProblemInstance):
-    """Kernel inputs: the radices and the placement rows of every digit.
-
-    ``placed[n, k]`` is ``PlacementTable(instance).rows[n, start_sets[n][k]]``,
-    user n's load row at its k-th start; users with fewer starts than the
-    largest radix are padded with zero rows.
-    """
-    table = PlacementTable(instance)
-    radices = np.asarray([len(s) for s in table.start_sets], dtype=np.int64)
-    placed = np.zeros((instance.n_users, int(radices.max()), instance.horizon))
-    for n, starts in enumerate(table.start_sets):
-        placed[n, : len(starts)] = table.rows[n, list(starts)]
-    return radices, placed
-
-
-def _decode_schedule(instance: ProblemInstance, index: int) -> tuple[int, ...]:
-    sets_ = start_sets(instance)
-    digits = np.unravel_index(index, [len(starts) for starts in sets_])
-    return tuple(sets_[n][int(d)] for n, d in enumerate(digits))
+def _decode_schedule(table: PlacementTable, index: int) -> tuple[int, ...]:
+    digits = np.unravel_index(index, table.radices)
+    return tuple(table.start_sets[n][int(d)] for n, d in enumerate(digits))
 
 
 def brute_force(
@@ -98,22 +78,19 @@ def brute_force(
     if total > limit:
         raise TooLargeError(total, limit)
 
-    packed = pack_instance(instance)
-    mode = _kernels.COST if objective is ObjectiveKind.COST else _kernels.PAR
-    coeffs = np.asarray(instance.cost_coefficients)
-    total_energy = instance_total_energy(instance)
-    args = (*packed, instance.horizon, coeffs, mode, total_energy)
-
+    table = PlacementTable(instance)
     workers = resolve_workers(workers)
     n_ranges = 1 if total < _MIN_PARALLEL_SIZE else workers
     bounds = [total * k // n_ranges for k in range(n_ranges + 1)]
     with ThreadPoolExecutor(max_workers=n_ranges) as pool:
-        partials = pool.map(lambda lo, hi: _kernels.scan_range(lo, hi, *args), bounds, bounds[1:])
+        partials = pool.map(
+            lambda lo, hi: _kernels.scan_range(lo, hi, table, objective), bounds, bounds[1:]
+        )
         # the ranges ascend and min keeps the first minimum: ties keep the lowest index
         best_val, best_idx = min(partials, key=lambda partial: partial[0])
 
     return OracleResult(
-        schedule=_decode_schedule(instance, int(best_idx)),
+        schedule=_decode_schedule(table, int(best_idx)),
         objective_value=float(best_val),
         evaluations=total,
         objective=objective,

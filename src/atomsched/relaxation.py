@@ -14,13 +14,14 @@ dense rows, with the peak and slack columns in no group.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Collection
 
 import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
-from .flows import PlacementTable, validate_flows
+from .flows import PlacementTable, check_flows
 from .ipm import solve_standard_form
 from .model import ProblemInstance, instance_total_energy
 from .objectives import ObjectiveKind
@@ -33,14 +34,21 @@ CLAMP_TOL = 1e-9
 SOLUTION_FEASIBILITY_TOL = 1e-6
 
 
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     tolerance: float = 1e-8
     max_solver_iterations: int = 200
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be > 0")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        check_count("max_solver_iterations", self.max_solver_iterations)
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -66,33 +74,34 @@ class _Packing:
         table = PlacementTable(instance)
         live = table.live(dropped)
         self.users, self.starts = table.users[live], table.starts[live]
+        self.feasible = table.feasible
         self.per_user = np.bincount(self.users, minlength=instance.n_users)
         if not self.per_user.all():
             raise InvalidInstanceError(
                 f"user {int(np.argmin(self.per_user))} has no undropped start left"
             )
         self.n_var = len(self.users)
-        self.loads_of = np.ascontiguousarray(table.rows[self.users, self.starts].T)
+        self.loads_of = np.ascontiguousarray(table.rows[live].T)
 
     def uniform_start(self) -> np.ndarray:
         return 1.0 / self.per_user[self.users]
 
-    def unpack(self, instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
-        flows = np.zeros((instance.n_users, instance.horizon))
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        flows = np.zeros(self.feasible.shape)
         flows[self.users, self.starts] = x
         np.copyto(flows, 0.0, where=(flows < 0.0) & (flows >= -CLAMP_TOL))
         np.copyto(flows, 1.0, where=(flows > 1.0) & (flows <= 1.0 + CLAMP_TOL))
         return flows
 
 
-def _finish(instance, packing, result, objective_value) -> RelaxedSolution:
+def _finish(packing, result, objective_value) -> RelaxedSolution:
     if result.status != "optimal":
         raise SolverError(
             f"relaxed solve failed ({result.status}) after {result.iterations} iterations"
         )
-    flows = packing.unpack(instance, result.x[: packing.n_var])
+    flows = packing.unpack(result.x[: packing.n_var])
     try:
-        validate_flows(instance, flows, tol=SOLUTION_FEASIBILITY_TOL)
+        check_flows(flows, packing.feasible, SOLUTION_FEASIBILITY_TOL)
     except Exception as exc:
         raise SolverError(f"solver returned infeasible flows: {exc}") from exc
     flows.setflags(write=False)
@@ -123,7 +132,7 @@ def solve_relaxed_cost(
         max_iterations=settings.max_solver_iterations,
     )
     loads = packing.loads_of @ result.x
-    return _finish(instance, packing, result, float(weights @ (loads * loads)))
+    return _finish(packing, result, float(weights @ (loads * loads)))
 
 
 def solve_relaxed_par(
@@ -166,7 +175,7 @@ def solve_relaxed_par(
         tolerance=settings.tolerance,
         max_iterations=settings.max_solver_iterations,
     )
-    return _finish(instance, packing, result, float(result.x[m]))
+    return _finish(packing, result, float(result.x[m]))
 
 
 def solve_relaxed(

@@ -40,6 +40,7 @@ from .objectives import ObjectiveKind, energy_cost, par
 from .relaxation import (
     DEFAULT_SETTINGS,
     SolverSettings,
+    check_count,
     par_ratio_from_peak,
     solve_relaxed,
 )
@@ -66,8 +67,9 @@ class SCRConfig:
     def __post_init__(self):
         if not 0.0 < self.drop_threshold < 1.0:
             raise ValueError("drop_threshold must lie strictly between 0 and 1")
-        if self.max_drops_per_iteration < 1:
-            raise ValueError("max_drops_per_iteration must be >= 1")
+        check_count("max_drops_per_iteration", self.max_drops_per_iteration)
+        if self.max_iterations is not None:
+            check_count("max_iterations", self.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,12 @@ def polish_schedule(
         table = PlacementTable(instance)
     horizon = instance.horizon
     starts = list(validate_schedule(instance, schedule))
-    candidates = [table.rows[n, list(s)] for n, s in enumerate(table.start_sets)]
     moved = True
     while moved:
         moved = False
-        for n, rows in enumerate(candidates):
+        for n, rows in enumerate(table.user_rows()):
             loads = table.schedule_loads(starts)
-            others = loads - table.rows[n, starts[n]]
+            others = loads - rows[table.start_sets[n].index(starts[n])]
             placed = others + rows
             if objective is ObjectiveKind.COST:
                 values = (placed * placed) @ table.coefficients
@@ -181,9 +182,7 @@ def successive_convex_relaxation(
 ) -> SCRResult:
     """Compute a Boolean schedule with matching lower/upper bounds."""
     table = PlacementTable(instance)
-    max_rounds = config.max_iterations
-    if max_rounds is None:
-        max_rounds = len(table.users)
+    max_rounds = config.max_iterations or len(table.users)
 
     drop_history: list[tuple[int, int]] = []
     trace: list[IterationRecord] = []

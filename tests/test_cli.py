@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -175,3 +178,24 @@ def test_usage_error_exit_code(capsys):
         main(["solve"])  # missing instance argument
     assert info.value.code == 1
     capsys.readouterr()
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    """gen, solve and enumerate run with scipy and hypothesis unimportable,
+    so numpy is the only runtime dependency."""
+    path = str(tmp_path / "inst.json")
+    script = f"""
+import sys
+for name in ("scipy", "hypothesis"):
+    sys.modules[name] = None
+from atomsched.cli import main
+assert main(["gen", "--n", "3", "--seed", "1", "--out", {path!r}]) == 0
+assert main(["solve", {path!r}]) == 0
+assert main(["enumerate", {path!r}]) == 0
+"""
+    src = os.path.dirname(os.path.dirname(a.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

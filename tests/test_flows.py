@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import atomsched as a
-from atomsched.errors import InfeasibleFlowError, NotIntegralError
+from atomsched.errors import InfeasibleFlowError, InvalidInstanceError, NotIntegralError
 
 from conftest import random_relaxed_flows
 
@@ -157,3 +157,13 @@ def test_schedule_and_flow_paths_agree_exhaustively(two_tier_coefficients):
         direct = a.load_profile_from_schedule(inst, schedule)
         via_flows = a.load_profile(inst, a.schedule_to_flows(inst, schedule))
         assert np.array_equal(direct, via_flows)
+
+
+def test_placement_table_rejects_pairs_off_the_flow_columns():
+    inst = a.generate_instance(3, 1)  # start sets 0..21, 0..21 and 0..20
+    table = a.PlacementTable(inst)
+    for starts in ((0, 3, 23), (0, 3, 21), (-1, 3, 6)):
+        with pytest.raises(IndexError):
+            table.schedule_loads(starts)
+    with pytest.raises(InvalidInstanceError, match=r"drop \(2, 21\)"):
+        table.live([(0, 1), (2, 21), (1, 99)])

@@ -300,7 +300,7 @@ def _relaxed_peak_via_highs(instance, dropped=frozenset()):
     table = a.PlacementTable(instance)
     pairs = zip(table.users.tolist(), table.starts.tolist())
     live = np.array([pair not in dropped for pair in pairs])
-    users, starts = table.users[live], table.starts[live]
+    users = table.users[live]
     m, horizon, n_users = len(users), instance.horizon, instance.n_users
     simplex = np.zeros((n_users, m))
     simplex[users, np.arange(m)] = 1.0
@@ -308,7 +308,7 @@ def _relaxed_peak_via_highs(instance, dropped=frozenset()):
     cost[m] = 1.0
     res = linprog(
         cost,
-        A_ub=np.hstack([table.rows[users, starts].T, -np.ones((horizon, 1))]),
+        A_ub=np.hstack([table.rows[live].T, -np.ones((horizon, 1))]),
         b_ub=np.zeros(horizon),
         A_eq=np.hstack([simplex, np.zeros((n_users, 1))]),
         b_eq=np.ones(n_users),
@@ -341,6 +341,16 @@ def test_relaxed_par_matches_highs_under_drops():
 def test_settings_validation():
     with pytest.raises(ValueError):
         a.SolverSettings(tolerance=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tolerance", np.inf), ("tolerance", np.nan),
+     ("max_solver_iterations", 1.5), ("max_solver_iterations", 0)],
+)
+def test_settings_reject_non_finite_tolerance_and_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        a.SolverSettings(**{field: value})
 
 
 def ipm_result(solver, instance, objective, dropped):

@@ -49,7 +49,7 @@ def test_placement_table_rows_match_rolled_patterns():
         inst = a.generate_instance(5, seed)
         table = a.PlacementTable(inst)
         assert np.array_equal(
-            table.rows.reshape(-1, inst.horizon).T, placement_matrix(inst)
+            table.rows_at_every_start().reshape(-1, inst.horizon).T, placement_matrix(inst)
         )
         assert list(zip(table.users, table.starts)) == [
             (n, s) for n, starts in enumerate(a.start_sets(inst)) for s in starts

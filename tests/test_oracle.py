@@ -13,8 +13,8 @@ import atomsched as a
 from atomsched import _kernels, oracle
 from atomsched.errors import TooLargeError
 from atomsched.model import instance_total_energy
-from atomsched.oracle import pack_instance
 from conftest import PRICES, appliances
+from test_objectives import placement_matrix
 
 COST = a.ObjectiveKind.COST
 PAR = a.ObjectiveKind.PAR
@@ -82,24 +82,28 @@ def kernel_instances():
 SMALL_BLOCK = 30
 
 
-def test_pack_instance_reads_the_placement_table():
+def test_placement_table_rows_are_the_flow_columns():
+    """The kernel's digits index each user's slice of the table's rows: one
+    row per flow column, checked against an independent placement matrix."""
     for inst in kernel_instances():
         table = a.PlacementTable(inst)
-        radices, placed = pack_instance(inst)
-        assert radices.tolist() == [len(s) for s in a.start_sets(inst)]
-        assert placed.shape == (inst.n_users, radices.max(), inst.horizon)
-        for n, starts in enumerate(a.start_sets(inst)):
-            assert np.array_equal(placed[n, : len(starts)], table.rows[n, list(starts)])
-            assert not placed[n, len(starts) :].any()
+        dense = placement_matrix(inst)
+        assert table.radices.tolist() == [len(s) for s in a.start_sets(inst)]
+        assert table.rows.shape == (len(table.users), inst.horizon)
+        for n, (rows, starts) in enumerate(zip(table.user_rows(), a.start_sets(inst))):
+            columns = [n * inst.horizon + s for s in starts]
+            assert np.array_equal(rows, dense[:, columns].T)
 
 
-def scan_range_sequential(lo, hi, radices, placed, horizon, coeffs, mode, total_energy):
+def scan_range_sequential(lo, hi, table, objective):
     """Plain-Python reference for ``_kernels.scan_range``: one schedule at a
     time, summing each slot's rows in user order. It walks the range keeping
     per-user prefix loads and rebuilds each level from the one above
     whenever its digit changes."""
     if hi <= lo:
         return np.inf, -1
+    radices, heads, rows = table.radices, table.heads, table.rows
+    coeffs, horizon = table.coefficients, len(table.coefficients)
     n_users = radices.shape[0]
     digits = np.empty(n_users, dtype=np.int64)
     rem = lo
@@ -117,8 +121,8 @@ def scan_range_sequential(lo, hi, radices, placed, horizon, coeffs, mode, total_
     while True:
         for m in range(n, n_users):
             for h in range(horizon):
-                prefix[m + 1, h] = prefix[m, h] + placed[m, digits[m], h]
-        if mode == _kernels.COST:
+                prefix[m + 1, h] = prefix[m, h] + rows[heads[m] + digits[m], h]
+        if objective is COST:
             val = 0.0
             for h in range(horizon):
                 val += coeffs[h] * prefix[n_users, h] * prefix[n_users, h]
@@ -127,7 +131,7 @@ def scan_range_sequential(lo, hi, radices, placed, horizon, coeffs, mode, total_
             for h in range(1, horizon):
                 if prefix[n_users, h] > peak:
                     peak = prefix[n_users, h]
-            val = (horizon * peak) / total_energy
+            val = (horizon * peak) / table.total_energy
         if val < best_val:
             best_val = val
             best_idx = idx
@@ -142,8 +146,8 @@ def scan_range_sequential(lo, hi, radices, placed, horizon, coeffs, mode, total_
     return float(best_val), best_idx
 
 
-@pytest.mark.parametrize("mode", [_kernels.COST, _kernels.PAR], ids=["cost", "par"])
-def test_numpy_kernel_matches_sequential_kernel(mode, monkeypatch):
+@pytest.mark.parametrize("objective", [COST, PAR], ids=["cost", "par"])
+def test_numpy_kernel_matches_sequential_kernel(objective, monkeypatch):
     """The numpy kernel against the plain-Python reference, with the
     default block cap and with one that splits the scan into many blocks,
     on ranges that start and end inside a block, and on empty and reversed
@@ -151,11 +155,10 @@ def test_numpy_kernel_matches_sequential_kernel(mode, monkeypatch):
     for cap in (_kernels._NUMPY_CHUNK, SMALL_BLOCK):
         monkeypatch.setattr(_kernels, "_NUMPY_CHUNK", cap)
         for inst in kernel_instances():
-            coeffs = np.asarray(inst.cost_coefficients)
-            radices, placed = pack_instance(inst)
-            args = (radices, placed, inst.horizon, coeffs, mode, instance_total_energy(inst))
+            table = a.PlacementTable(inst)
+            args = (table, objective)
             total = a.enumeration_size(inst)
-            _, size = _kernels._split_point(radices)
+            _, size = _kernels._split_point(table.radices)
             block = size * max(1, cap // size)
             ranges = [
                 (0, total),
@@ -177,7 +180,7 @@ def test_small_block_cap_reaches_every_scan_path(monkeypatch):
     an empty prefix, with a last user whose starts alone exceed the cap,
     and with blocks of one and of several prefix rows."""
     monkeypatch.setattr(_kernels, "_NUMPY_CHUNK", SMALL_BLOCK)
-    splits = [_kernels._split_point(pack_instance(inst)[0]) for inst in kernel_instances()]
+    splits = [_kernels._split_point(a.PlacementTable(inst).radices) for inst in kernel_instances()]
     assert any(m == 0 for m, _ in splits)
     assert any(size > SMALL_BLOCK for _, size in splits)
     rows = {max(1, SMALL_BLOCK // size) for m, size in splits if m > 0}
@@ -297,9 +300,7 @@ def test_worker_cap_must_be_a_positive_integer(cap, monkeypatch):
 
 def test_partition_independence():
     inst = a.generate_instance(3, 11)
-    packed = pack_instance(inst)
-    coeffs = np.asarray(inst.cost_coefficients)
-    args = (*packed, 24, coeffs, _kernels.COST, instance_total_energy(inst))
+    args = (a.PlacementTable(inst), COST)
     total = a.enumeration_size(inst)
     whole = _kernels.scan_range(0, total, *args)
     for pieces in (2, 3, 7):

@@ -173,6 +173,15 @@ def test_config_validation():
         a.SCRConfig(max_drops_per_iteration=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_drops_per_iteration", 1.5), ("max_iterations", 1.5), ("max_iterations", 0)],
+)
+def test_config_rejects_counts_that_are_not_positive_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        a.SCRConfig(**{field: value})
+
+
 def test_sweep_rows_and_determinism():
     rows = a.scr_sweep([2, 3], [1, 5], [1, 2, 3], COST)
     assert len(rows) == 2 * 2 * 3
