@@ -18,6 +18,14 @@ suffix, never empty). PAR is exact per block; cost is scored from prefix
 and suffix tables, and the pairs rounding may put at the minimum are
 re-scored from scratch in user order by ``_cost``.
 
+Two constants size the split. ``_SUFFIX_CAP`` bounds the suffix, whose
+loads the cost path keeps, H floats per schedule, for the whole scan.
+``_BLOCK`` bounds a block, which takes as many consecutive prefix rows as
+fit. Blocks are larger than the suffix because a block's numpy passes run
+over arrays that grow with its prefix rows, and a pass over a few thousand
+elements costs several times more per element than one over tens of
+thousands; a larger suffix would instead grow the cost path's table.
+
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
 terms of every slot are added in user order however the blocks fall, so a
 schedule's value is bit-identical to a plain per-schedule loop that sums
@@ -35,8 +43,13 @@ import numpy as np
 from .flows import PlacementTable
 from .objectives import ObjectiveKind
 
-#: schedules per block, which caps a block's working set at this many x horizon floats
-_NUMPY_CHUNK = 1 << 15
+#: suffix schedules at most, unless the last user alone has more
+_SUFFIX_CAP = 1 << 15
+#: schedules per block at most, unless the suffix alone has more; a block's
+#: temporaries hold a few floats per schedule, except PAR's loads before the
+#: last user: H per schedule of the users before it (4 MB at H = 24 when the
+#: last user has 6 starts)
+_BLOCK = 1 << 17
 
 
 def _loads(index, user_rows, horizon):
@@ -64,9 +77,9 @@ def _cost(index, user_rows, coeffs):
 def _split_point(radices):
     """The first suffix user m and the suffix's joint radix: the suffix is
     the last user plus every user before it that keeps its schedules within
-    one block, so m = 0 when the whole instance fits."""
+    ``_SUFFIX_CAP``, so m = 0 when the whole instance fits."""
     m, size = len(radices) - 1, int(radices[-1])
-    while m > 0 and size * radices[m - 1] <= _NUMPY_CHUNK:
+    while m > 0 and size * radices[m - 1] <= _SUFFIX_CAP:
         m -= 1
         size *= int(radices[m])
     return m, size
@@ -101,9 +114,10 @@ def scan_range(
     """Minimum of ``objective`` over schedules lo..hi-1 and the first index
     attaining it.
 
-    Users m..N-1 (``_split_point``) form the suffix. A block pairs
-    consecutive prefix schedules (one when the suffix alone exceeds the
-    block cap) with every suffix schedule, so its indices are contiguous.
+    Users m..N-1 (``_split_point``) form the suffix. A block pairs as many
+    consecutive prefix schedules as fit in ``_BLOCK`` (one when the suffix
+    alone exceeds it) with every suffix schedule, so its indices are
+    contiguous.
     """
     if hi <= lo:
         return np.inf, -1
@@ -123,7 +137,7 @@ def scan_range(
         # the lower canonical value; 8 gamma_K also covers rounding the cut
         unit = (2 * len(user_rows) + horizon + 8) * np.finfo(float).eps / 2
         cut_factor = 1 + 8 * unit / (1 - unit)
-    rows = max(1, _NUMPY_CHUNK // size)
+    rows = max(1, _BLOCK // size)
     q_end = (hi - 1) // size + 1
     for q0 in range(lo // size, q_end, rows):
         prefix = _loads(np.arange(q0, min(q0 + rows, q_end)), user_rows[:m], horizon)

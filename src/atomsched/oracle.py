@@ -14,6 +14,7 @@ start of the same wrapped window).
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,8 +48,11 @@ def resolve_workers(requested: int | None = None) -> int:
     A requested count and the cap must be integers >= 1; anything else
     raises ValueError.
     """
-    if requested is not None and requested < 1:
-        raise ValueError(f"workers must be >= 1, got {requested}")
+    if requested is not None:
+        if isinstance(requested, bool) or not isinstance(requested, numbers.Integral):
+            raise ValueError(f"workers must be an integer, got {requested!r}")
+        if requested < 1:
+            raise ValueError(f"workers must be >= 1, got {requested}")
     workers = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get(WORKER_CAP_ENV, "").strip()
     if cap:
@@ -72,8 +76,11 @@ def brute_force(
     """Evaluate the objective at every feasible schedule and return the best.
 
     Refuses instances whose joint start space exceeds ``limit`` evaluations
-    (TooLargeError reports the exact size).
+    (TooLargeError reports the exact size) and objectives that are not an
+    ``ObjectiveKind`` (ValueError).
     """
+    if not isinstance(objective, ObjectiveKind):
+        raise ValueError(f"unknown objective {objective!r}")
     total = enumeration_size(instance)
     if total > limit:
         raise TooLargeError(total, limit)

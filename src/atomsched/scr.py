@@ -118,8 +118,11 @@ def polish_schedule(
     others (candidates in window order, strict improvement only), until a
     full pass makes no move. The result never scores worse than the input.
     All starts of one user are scored in one array expression; ``table`` may
-    pass in the instance's placement table to skip rebuilding it.
+    pass in the instance's placement table to skip rebuilding it. An
+    objective that is not an ``ObjectiveKind`` raises ValueError.
     """
+    if not isinstance(objective, ObjectiveKind):
+        raise ValueError(f"unknown objective {objective!r}")
     if table is None:
         table = PlacementTable(instance)
     horizon = instance.horizon

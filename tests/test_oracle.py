@@ -81,6 +81,21 @@ def kernel_instances():
 #: some fit one block whole and the last user with 39 starts exceeds it
 SMALL_BLOCK = 30
 
+#: (suffix cap, block size) pairs: the defaults; both at SMALL_BLOCK, so a
+#: block holds one prefix row or a few; and the suffix at SMALL_BLOCK under
+#: blocks several times larger, so a block holds several prefix rows even
+#: where the last user alone exceeds the suffix cap
+GEOMETRIES = [
+    (_kernels._SUFFIX_CAP, _kernels._BLOCK),
+    (SMALL_BLOCK, SMALL_BLOCK),
+    (SMALL_BLOCK, 4 * SMALL_BLOCK),
+]
+
+
+def set_geometry(monkeypatch, suffix_cap, block):
+    monkeypatch.setattr(_kernels, "_SUFFIX_CAP", suffix_cap)
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+
 
 def test_placement_table_rows_are_the_flow_columns():
     """The kernel's digits index each user's slice of the table's rows: one
@@ -148,18 +163,17 @@ def scan_range_sequential(lo, hi, table, objective):
 
 @pytest.mark.parametrize("objective", [COST, PAR], ids=["cost", "par"])
 def test_numpy_kernel_matches_sequential_kernel(objective, monkeypatch):
-    """The numpy kernel against the plain-Python reference, with the
-    default block cap and with one that splits the scan into many blocks,
-    on ranges that start and end inside a block, and on empty and reversed
-    ranges, which give (inf, -1)."""
-    for cap in (_kernels._NUMPY_CHUNK, SMALL_BLOCK):
-        monkeypatch.setattr(_kernels, "_NUMPY_CHUNK", cap)
+    """The numpy kernel against the plain-Python reference, under each
+    of GEOMETRIES, on ranges that start and end inside a block, and on
+    empty and reversed ranges, which give (inf, -1)."""
+    for cap, block_cap in GEOMETRIES:
+        set_geometry(monkeypatch, cap, block_cap)
         for inst in kernel_instances():
             table = a.PlacementTable(inst)
             args = (table, objective)
             total = a.enumeration_size(inst)
             _, size = _kernels._split_point(table.radices)
-            block = size * max(1, cap // size)
+            block = size * max(1, block_cap // size)
             ranges = [
                 (0, total),
                 (total // 3, 2 * total // 3 + 1),
@@ -172,19 +186,29 @@ def test_numpy_kernel_matches_sequential_kernel(objective, monkeypatch):
                 expected = _kernels.scan_range(lo, hi, *args)
                 if lo >= hi:
                     assert expected == (np.inf, -1)
-                assert scan_range_sequential(lo, hi, *args) == expected, (cap, inst, lo, hi)
+                assert scan_range_sequential(lo, hi, *args) == expected, (cap, block_cap, inst, lo, hi)
 
 
 def test_small_block_cap_reaches_every_scan_path(monkeypatch):
-    """With SMALL_BLOCK, the kernel instances take the one scan path with
-    an empty prefix, with a last user whose starts alone exceed the cap,
-    and with blocks of one and of several prefix rows."""
-    monkeypatch.setattr(_kernels, "_NUMPY_CHUNK", SMALL_BLOCK)
+    """With suffix cap and block size at SMALL_BLOCK, the kernel instances
+    take the one scan path with an empty prefix, with a last user whose
+    starts alone exceed the cap, and with blocks of one and of several
+    prefix rows. Blocks four times larger keep every split and give each
+    instance with a prefix several prefix rows per block, the one whose last
+    user exceeds the suffix cap included."""
+    set_geometry(monkeypatch, SMALL_BLOCK, SMALL_BLOCK)
     splits = [_kernels._split_point(a.PlacementTable(inst).radices) for inst in kernel_instances()]
     assert any(m == 0 for m, _ in splits)
     assert any(size > SMALL_BLOCK for _, size in splits)
     rows = {max(1, SMALL_BLOCK // size) for m, size in splits if m > 0}
     assert 1 in rows and max(rows) > 1
+
+    set_geometry(monkeypatch, SMALL_BLOCK, 4 * SMALL_BLOCK)
+    wide = [_kernels._split_point(a.PlacementTable(inst).radices) for inst in kernel_instances()]
+    assert wide == splits
+    rows = {size: _kernels._BLOCK // size for m, size in splits if m > 0}
+    assert min(rows.values()) > 1
+    assert any(size > SMALL_BLOCK for size in rows)
 
 
 def test_dish_washer_cost_optimum(dish_washer_instance):
@@ -289,6 +313,21 @@ def test_requested_workers_must_be_positive(requested, dish_washer_instance):
         a.resolve_workers(requested)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         a.brute_force(dish_washer_instance, COST, workers=requested)
+
+
+@pytest.mark.parametrize("requested", [2.5, True, "2"])
+def test_requested_workers_must_be_an_integer(requested, dish_washer_instance):
+    with pytest.raises(ValueError, match=f"workers must be an integer, got {re.escape(repr(requested))}"):
+        a.resolve_workers(requested)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        a.brute_force(dish_washer_instance, COST, workers=requested)
+
+
+def test_objective_must_be_an_objective_kind(dish_washer_instance):
+    with pytest.raises(ValueError, match="unknown objective 'cost'"):
+        a.brute_force(a.generate_instance(3, 1), "cost")
+    with pytest.raises(ValueError, match="unknown objective"):
+        a.brute_force(dish_washer_instance, None)
 
 
 @pytest.mark.parametrize("cap", ["0", "-2", "two", "1.5"])

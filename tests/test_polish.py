@@ -7,6 +7,7 @@ exactly the same schedule on any instance.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -95,3 +96,10 @@ def test_polish_matches_reference_loop(case):
     assert a.polish_schedule(instance, objective, schedule) == reference_polish(
         instance, objective, schedule
     )
+
+
+def test_polish_objective_must_be_an_objective_kind():
+    instance = a.generate_instance(3, 1)
+    first = tuple(starts[0] for starts in a.start_sets(instance))
+    with pytest.raises(ValueError, match="unknown objective 'cost'"):
+        a.polish_schedule(instance, "cost", first)
