@@ -22,9 +22,9 @@ Two constants size the split. ``_SUFFIX_CAP`` bounds the suffix, whose
 loads the cost path keeps, H floats per schedule, for the whole scan.
 ``_BLOCK`` bounds a block, which takes as many consecutive prefix rows as
 fit. Blocks are larger than the suffix because a block's numpy passes run
-over arrays that grow with its prefix rows, and a pass over a few thousand
-elements costs several times more per element than one over tens of
-thousands; a larger suffix would instead grow the cost path's table.
+over rows that grow with its prefix rows, and passes over rows shorter than
+a few thousand elements cost several times more per element than passes
+over longer ones; a larger suffix would instead grow the cost path's table.
 
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
 terms of every slot are added in user order however the blocks fall, so a
