@@ -16,7 +16,8 @@ The scan is split over blocks that pair a few schedules of the first users
 (the prefix, possibly empty) with every schedule of the last users (the
 suffix, never empty). PAR is exact per block; cost is scored from prefix
 and suffix tables, and the pairs rounding may put at the minimum are
-re-scored from scratch in user order by ``_cost``.
+re-scored from their loads, summed in user order, by
+``objectives.score_loads``, the scorer SCR uses too.
 
 Two constants size the split. ``_SUFFIX_CAP`` bounds the suffix, whose
 loads the cost path keeps, H floats per schedule, for the whole scan.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .flows import PlacementTable
-from .objectives import ObjectiveKind
+from .objectives import ObjectiveKind, score_loads
 
 #: suffix schedules at most, unless the last user alone has more
 _SUFFIX_CAP = 1 << 15
@@ -63,15 +64,6 @@ def _loads(index, user_rows, horizon):
     for rows, digit in zip(user_rows, reversed(digits)):
         loads += rows[digit]
     return loads
-
-
-def _cost(index, user_rows, coeffs):
-    """The canonical cost of the schedules at ``index``."""
-    loads = _loads(index, user_rows, len(coeffs))
-    vals = np.zeros(len(loads))
-    for h in range(len(coeffs)):
-        vals += coeffs[h] * loads[:, h] * loads[:, h]
-    return vals
 
 
 def _split_point(radices):
@@ -155,7 +147,8 @@ def scan_range(
         scores = scores.ravel()[first : hi - base]
         index = base + first + np.flatnonzero(scores <= min(scores.min(), best[0]) * cut_factor)
         if len(index):
-            best = _first_min(best, index, _cost(index, user_rows, coeffs))
+            loads = _loads(index, user_rows, horizon)
+            best = _first_min(best, index, score_loads(objective, loads, coeffs, None))
     return best
 
 

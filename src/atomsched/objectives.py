@@ -28,8 +28,31 @@ def default_cost_coefficients(horizon: int = 24) -> tuple[float, ...]:
     return tuple(0.2 if (h * 24) // horizon < 8 else 0.3 for h in range(horizon))
 
 
+def score_loads(
+    objective: ObjectiveKind,
+    loads: np.ndarray,
+    coefficients: np.ndarray,
+    total_energy: float | None,
+) -> np.ndarray:
+    """Boolean objective of the load profiles along the last axis of ``loads``.
+
+    Cost (which reads only ``coefficients``) adds ``a_h * load_h * load_h``
+    slot by slot from slot 0, in an order no BLAS kernel picks; PAR (which
+    reads only ``total_energy``) is ``horizon * peak / total_energy``. SCR and
+    the oracle score every schedule here, so it has one value in both.
+    """
+    if objective is ObjectiveKind.COST:
+        return np.add.accumulate(coefficients * loads * loads, axis=-1)[..., -1]
+    return loads.shape[-1] * loads.max(axis=-1) / total_energy
+
+
 def energy_cost(loads: np.ndarray, coefficients: np.ndarray) -> float:
-    """Total cost in cents of a load profile under quadratic slot pricing."""
+    """Total cost in cents of a load profile under quadratic slot pricing.
+
+    The terms are added slot by slot from slot 0 (:func:`score_loads`), an
+    order no BLAS kernel can change, so SCR's upper bound and the oracle's
+    optimum agree bit for bit whenever they name the same schedule.
+    """
     loads = np.asarray(loads, dtype=np.float64)
     coefficients = np.asarray(coefficients, dtype=np.float64)
     if loads.shape != coefficients.shape:
@@ -37,17 +60,18 @@ def energy_cost(loads: np.ndarray, coefficients: np.ndarray) -> float:
             f"load profile has {loads.shape[0]} slots but there are "
             f"{coefficients.shape[0]} cost coefficients"
         )
-    return float(np.dot(coefficients, loads * loads))
+    return float(score_loads(ObjectiveKind.COST, loads, coefficients, None))
 
 
 def par(loads: np.ndarray, total_energy: float, horizon: int) -> float:
     """Peak-to-average ratio of a load profile.
 
     ``total_energy`` is the daily energy of all users (kWh), which is fixed by
-    the instance, so PAR and peak load are equivalent objectives.
+    the instance, so PAR and peak load are equivalent objectives. It must be
+    finite and > 0.
     """
-    if total_energy <= 0.0:
-        raise InvalidInstanceError(f"total energy must be > 0, got {total_energy!r}")
+    if not 0.0 < total_energy < np.inf:
+        raise InvalidInstanceError(f"total energy must be finite and > 0, got {total_energy!r}")
     loads = np.asarray(loads, dtype=np.float64)
     return float(horizon * loads.max() / total_energy)
 

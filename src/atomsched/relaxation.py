@@ -10,6 +10,9 @@ eliminated before the solve rather than pinned to zero. The layout keeps each
 user's columns contiguous, so they are the solver's simplex groups, which its
 Newton step eliminates in closed form; the PAR LP's slot-load rows are its only
 dense rows, with the peak and slack columns in no group.
+
+:func:`solve_relaxed` builds either problem, makes the one call to the
+interior-point solver, and unpacks, clamps and checks the flows it returns.
 """
 
 from __future__ import annotations
@@ -67,49 +70,66 @@ class RelaxedSolution:
     iterations: int
 
 
-class _Packing:
-    """The table's live flow columns, in layout order, as the solver's arrays."""
-
-    def __init__(self, instance: ProblemInstance, dropped: Collection[tuple[int, int]]):
-        table = PlacementTable(instance)
-        live = table.live(dropped)
-        self.users, self.starts = table.users[live], table.starts[live]
-        self.feasible = table.feasible
-        self.per_user = np.bincount(self.users, minlength=instance.n_users)
-        if not self.per_user.all():
-            raise InvalidInstanceError(
-                f"user {int(np.argmin(self.per_user))} has no undropped start left"
-            )
-        self.n_var = len(self.users)
-        self.loads_of = np.ascontiguousarray(table.rows[live].T)
-
-    def uniform_start(self) -> np.ndarray:
-        return 1.0 / self.per_user[self.users]
-
-    def unpack(self, x: np.ndarray) -> np.ndarray:
-        flows = np.zeros(self.feasible.shape)
-        flows[self.users, self.starts] = x
-        np.copyto(flows, 0.0, where=(flows < 0.0) & (flows >= -CLAMP_TOL))
-        np.copyto(flows, 1.0, where=(flows > 1.0) & (flows <= 1.0 + CLAMP_TOL))
-        return flows
-
-
-def _finish(packing, result, objective_value) -> RelaxedSolution:
+def solve_relaxed(
+    instance: ProblemInstance,
+    objective: ObjectiveKind,
+    dropped: Collection[tuple[int, int]] = (),
+    settings: SolverSettings = DEFAULT_SETTINGS,
+) -> RelaxedSolution:
+    """Solve the cost QP or the peak LP over the flow columns live under
+    ``dropped``; the peak LP's objective value is its peak variable (kWh)."""
+    if not isinstance(objective, ObjectiveKind):
+        raise ValueError(f"unknown objective {objective!r}")
+    table = PlacementTable(instance)
+    live = table.live(dropped)
+    users, starts = table.users[live], table.starts[live]
+    per_user = np.bincount(users, minlength=instance.n_users)
+    if not per_user.all():
+        raise InvalidInstanceError(
+            f"user {int(np.argmin(per_user))} has no undropped start left"
+        )
+    m, horizon = len(users), instance.horizon
+    loads_of = np.ascontiguousarray(table.rows[live].T)
+    feasible, weights = table.feasible, table.coefficients
+    del table  # free the full rows: the solve needs only the live ones
+    x0 = 1.0 / per_user[users]
+    if objective is ObjectiveKind.COST:
+        problem = dict(quad_factor=loads_of, quad_weights=weights,
+                       linear=None, coupling=None, coupling_rhs=None)
+    else:
+        # variables: [flows (m), peak (1), slacks (horizon)]; the load rows
+        # loads - peak + slack = 0 couple them, the flows alone form the groups
+        linear = np.zeros(m + 1 + horizon)
+        linear[m] = 1.0
+        loads0 = loads_of @ x0
+        peak0 = float(loads0.max()) + 1.0
+        x0 = np.concatenate([x0, [peak0], peak0 - loads0])
+        coupling = np.hstack([loads_of, np.full((horizon, 1), -1.0), np.eye(horizon)])
+        problem = dict(quad_factor=None, quad_weights=None, linear=linear,
+                       coupling=coupling, coupling_rhs=np.zeros(horizon))
+    result = solve_standard_form(**problem, group_sizes=per_user, x0=x0,
+                                 tolerance=settings.tolerance,
+                                 max_iterations=settings.max_solver_iterations)
     if result.status != "optimal":
         raise SolverError(
             f"relaxed solve failed ({result.status}) after {result.iterations} iterations"
         )
-    flows = packing.unpack(result.x[: packing.n_var])
+    if objective is ObjectiveKind.COST:
+        loads = loads_of @ result.x
+        value = float(weights @ (loads * loads))
+    else:
+        value = float(result.x[m])
+
+    flows = np.zeros(feasible.shape)
+    flows[users, starts] = result.x[:m]
+    np.copyto(flows, 0.0, where=(flows < 0.0) & (flows >= -CLAMP_TOL))
+    np.copyto(flows, 1.0, where=(flows > 1.0) & (flows <= 1.0 + CLAMP_TOL))
     try:
-        check_flows(flows, packing.feasible, SOLUTION_FEASIBILITY_TOL)
+        check_flows(flows, feasible, SOLUTION_FEASIBILITY_TOL)
     except Exception as exc:
         raise SolverError(f"solver returned infeasible flows: {exc}") from exc
     flows.setflags(write=False)
-    return RelaxedSolution(
-        flows=flows,
-        objective_value=float(objective_value),
-        iterations=result.iterations,
-    )
+    return RelaxedSolution(flows=flows, objective_value=value, iterations=result.iterations)
 
 
 def solve_relaxed_cost(
@@ -118,21 +138,7 @@ def solve_relaxed_cost(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RelaxedSolution:
     """Minimize the quadratic energy cost over the relaxed flow polytope."""
-    packing = _Packing(instance, dropped)
-    weights = np.asarray(instance.cost_coefficients)
-    result = solve_standard_form(
-        quad_factor=packing.loads_of,
-        quad_weights=weights,
-        linear=None,
-        group_sizes=packing.per_user,
-        coupling=None,
-        coupling_rhs=None,
-        x0=packing.uniform_start(),
-        tolerance=settings.tolerance,
-        max_iterations=settings.max_solver_iterations,
-    )
-    loads = packing.loads_of @ result.x
-    return _finish(packing, result, float(weights @ (loads * loads)))
+    return solve_relaxed(instance, ObjectiveKind.COST, dropped, settings)
 
 
 def solve_relaxed_par(
@@ -140,55 +146,9 @@ def solve_relaxed_par(
     dropped: Collection[tuple[int, int]] = (),
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RelaxedSolution:
-    """Minimize the peak slot load over the relaxed flow polytope.
-
-    Returns the auxiliary peak variable (kWh) as objective_value; divide by
-    the average load to obtain the PAR ratio. The peak variable itself is
-    never part of any drop set.
-    """
-    packing = _Packing(instance, dropped)
-    horizon = instance.horizon
-    m = packing.n_var
-    # variables: [flows (m), peak (1), slacks (horizon)]; the load rows
-    # loads - peak + slack = 0 couple them, the flows alone form the groups
-    n_var = m + 1 + horizon
-    load_rows = np.hstack(
-        [packing.loads_of, np.full((horizon, 1), -1.0), np.eye(horizon)]
-    )
-    cost = np.zeros(n_var)
-    cost[m] = 1.0
-
-    x0 = np.empty(n_var)
-    x0[:m] = packing.uniform_start()
-    loads0 = packing.loads_of @ x0[:m]
-    x0[m] = float(loads0.max()) + 1.0
-    x0[m + 1 :] = x0[m] - loads0
-
-    result = solve_standard_form(
-        quad_factor=None,
-        quad_weights=None,
-        linear=cost,
-        group_sizes=packing.per_user,
-        coupling=load_rows,
-        coupling_rhs=np.zeros(horizon),
-        x0=x0,
-        tolerance=settings.tolerance,
-        max_iterations=settings.max_solver_iterations,
-    )
-    return _finish(packing, result, float(result.x[m]))
-
-
-def solve_relaxed(
-    instance: ProblemInstance,
-    objective: ObjectiveKind,
-    dropped: Collection[tuple[int, int]] = (),
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> RelaxedSolution:
-    if objective is ObjectiveKind.COST:
-        return solve_relaxed_cost(instance, dropped, settings)
-    if objective is ObjectiveKind.PAR:
-        return solve_relaxed_par(instance, dropped, settings)
-    raise ValueError(f"unknown objective {objective!r}")
+    """Minimize the peak slot load over the relaxed flow polytope; the
+    objective value is the peak (kWh), see :func:`par_ratio_from_peak`."""
+    return solve_relaxed(instance, ObjectiveKind.PAR, dropped, settings)
 
 
 def par_ratio_from_peak(instance: ProblemInstance, peak: float) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import IterationLimitError, SolverError
 from .flows import INTEGRAL_TOL, PlacementTable, one_hot_rows, validate_schedule
 from .model import ProblemInstance
-from .objectives import ObjectiveKind, energy_cost, par
+from .objectives import ObjectiveKind, score_loads
 from .relaxation import (
     DEFAULT_SETTINGS,
     SolverSettings,
@@ -98,14 +98,6 @@ class SCRResult:
     objective: ObjectiveKind
 
 
-def _boolean_objective(
-    table: PlacementTable, objective: ObjectiveKind, loads: np.ndarray
-) -> float:
-    if objective is ObjectiveKind.COST:
-        return energy_cost(loads, table.coefficients)
-    return par(loads, table.total_energy, loads.shape[0])
-
-
 def polish_schedule(
     instance: ProblemInstance,
     objective: ObjectiveKind,
@@ -125,21 +117,17 @@ def polish_schedule(
         raise ValueError(f"unknown objective {objective!r}")
     if table is None:
         table = PlacementTable(instance)
-    horizon = instance.horizon
+    coeffs, energy = table.coefficients, table.total_energy
     starts = list(validate_schedule(instance, schedule))
     moved = True
     while moved:
         moved = False
         for n, rows in enumerate(table.user_rows()):
             loads = table.schedule_loads(starts)
-            others = loads - rows[table.start_sets[n].index(starts[n])]
-            placed = others + rows
-            if objective is ObjectiveKind.COST:
-                values = (placed * placed) @ table.coefficients
-            else:
-                values = horizon * placed.max(axis=1) / table.total_energy
+            placed = loads - rows[table.start_sets[n].index(starts[n])] + rows
+            values = score_loads(objective, placed, coeffs, energy)
             best_s = starts[n]
-            best_v = _boolean_objective(table, objective, loads)
+            best_v = float(score_loads(objective, loads, coeffs, energy))
             for s, value in zip(table.start_sets[n], values.tolist()):
                 if value < best_v - _IMPROVEMENT:
                     best_v, best_s = value, s
@@ -214,8 +202,9 @@ def successive_convex_relaxation(
             schedule = rounded
             if config.polish:
                 schedule = polish_schedule(instance, objective, rounded, table=table)
-            value = _boolean_objective(
-                table, objective, table.schedule_loads(schedule)
+            value = score_loads(
+                objective, table.schedule_loads(schedule), table.coefficients,
+                table.total_energy,
             )
             if value < incumbent_value - _IMPROVEMENT:
                 incumbent, incumbent_value = schedule, value

@@ -6,7 +6,6 @@ import pytest
 import atomsched as a
 from atomsched import relaxation
 from atomsched.ipm import IpmResult, solve_standard_form
-from atomsched.relaxation import _Packing
 from test_scr import stalling_par_instance, stalling_round_drops
 from test_scr_golden import CASES
 
@@ -260,9 +259,12 @@ def test_rejects_nonpositive_start():
 def _relaxed_cost_via_scipy(instance, dropped=frozenset()):
     from scipy.optimize import LinearConstraint, minimize
 
-    packing = _Packing(instance, dropped)
+    table = a.PlacementTable(instance)
+    live = table.live(dropped)
+    per_user = np.bincount(table.users[live], minlength=instance.n_users)
+    n_var = int(live.sum())
     weights = np.asarray(instance.cost_coefficients)
-    loads_of = packing.loads_of
+    loads_of = table.rows[live].T
 
     def fun(x):
         loads = loads_of @ x
@@ -271,12 +273,12 @@ def _relaxed_cost_via_scipy(instance, dropped=frozenset()):
     def jac(x):
         return 2.0 * loads_of.T @ (weights * (loads_of @ x))
 
-    constraint = LinearConstraint(simplex_rows(packing.per_user, packing.n_var), 1.0, 1.0)
+    constraint = LinearConstraint(simplex_rows(per_user, n_var), 1.0, 1.0)
     res = minimize(
         fun,
-        packing.uniform_start(),
+        1.0 / per_user[table.users[live]],
         jac=jac,
-        bounds=[(0.0, 1.0)] * packing.n_var,
+        bounds=[(0.0, 1.0)] * n_var,
         constraints=[constraint],
         method="trust-constr",
         options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 2000},

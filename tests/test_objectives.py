@@ -92,8 +92,9 @@ def test_par_examples(dish_washer_instance, two_window_instance):
 
 
 def test_par_rejects_zero_energy():
-    with pytest.raises(InvalidInstanceError):
-        a.par(np.zeros(24), 0.0, 24)
+    for total_energy in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInstanceError):
+            a.par(np.zeros(24), total_energy, 24)
 
 
 def test_gradient_zero_loads(dish_washer_instance):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import atomsched as a
-from atomsched import scr
+from atomsched import _kernels, scr
 
 COST = a.ObjectiveKind.COST
 PAR = a.ObjectiveKind.PAR
@@ -47,6 +47,25 @@ def test_small_par_exactness(n_d):
         )
         optimum = a.brute_force(inst, PAR, limit=200_000_000).objective_value
         assert result.upper_bound == pytest.approx(optimum, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 8), (2, 12), (2, 13), (3, 4), (3, 9)])
+@pytest.mark.parametrize("objective", [COST, PAR])
+def test_upper_bound_is_the_oracle_value_of_its_schedule(n, seed, objective):
+    """SCR and the oracle score a schedule with one function, so they agree to
+    the last bit on any schedule, whatever the BLAS kernel; CI also runs this
+    test under OPENBLAS_CORETYPE=Sandybridge."""
+    inst = a.generate_instance(n, seed)
+    result = a.successive_convex_relaxation(inst, objective)
+    optimum = a.brute_force(inst, objective)
+    if result.schedule == optimum.schedule:
+        assert result.upper_bound == optimum.objective_value
+    table = a.PlacementTable(inst)
+    digits = [table.start_sets[k].index(s) for k, s in enumerate(result.schedule)]
+    index = int(np.ravel_multi_index(digits, table.radices))
+    assert _kernels.scan_range(index, index + 1, table, objective) == (
+        result.upper_bound, index
+    )
 
 
 def test_result_invariants_and_trace():
