@@ -7,7 +7,7 @@ schedules (upper bounds), and an exhaustive enumeration oracle for ground
 truth on small instances.
 """
 
-from .catalog import DEFAULT_CATALOG, CatalogEntry, catalog_appliance, generate_instance
+from .catalog import DEFAULT_CATALOG, catalog_appliance, generate_instance
 from .errors import (
     AtomschedError,
     InfeasibleFlowError,

@@ -6,16 +6,16 @@ row encodes a concrete schedule; fractional rows arise only inside the convex
 relaxation. Relaxed feasibility requires each row to be a probability vector
 supported on the user's feasible start set.
 
-The flow variables are the feasible (user, start) pairs in one column layout,
-:func:`flow_columns`; :meth:`PlacementTable.live` masks out a drop set. Every
-"place user n's pattern at start s" result comes from one
-:class:`PlacementTable`, built per call and shared by every layer: its
-``rows`` hold one load row per flow variable, in that column layout.
+The flow variables are the feasible (user, start) pairs. One
+:class:`PlacementTable`, built per call and shared by every layer, is the
+only map from a pair to its column, and its load row per column is the one
+source of every "place user n's pattern at start s" result.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 from typing import Collection, Sequence
 
 import numpy as np
@@ -31,17 +31,6 @@ FEASIBILITY_TOL = 1e-9
 INTEGRAL_TOL = 1e-6
 
 
-def flow_columns(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(users, starts, feasible)``: one column per flow variable, user by
-    user in window order, and the same pairs as an ``(n_users, horizon)`` mask."""
-    sets_ = start_sets(instance)
-    users = np.repeat(np.arange(instance.n_users), [len(s) for s in sets_])
-    starts = np.concatenate(sets_).astype(np.intp)
-    feasible = np.zeros((instance.n_users, instance.horizon), dtype=bool)
-    feasible[users, starts] = True
-    return users, starts, feasible
-
-
 def one_hot_rows(flows: np.ndarray) -> np.ndarray:
     """Per row: one entry >= 1 - INTEGRAL_TOL and every other <= INTEGRAL_TOL."""
     top_two = np.partition(flows, -2, axis=1)[:, -2:]
@@ -49,36 +38,51 @@ def one_hot_rows(flows: np.ndarray) -> np.ndarray:
 
 
 class PlacementTable:
-    """Load rows of every flow variable of one instance.
+    """The flow-variable columns of one instance and their load rows.
 
-    ``users``, ``starts`` and ``feasible`` are the instance's
-    :func:`flow_columns`, and ``rows`` is ``(m, horizon)`` with one row per
-    column: the per-slot load of the user's pattern at that start (wrapping
-    modulo the horizon). User n's rows, in window order, are
-    ``rows[heads[n] : heads[n] + radices[n]]`` (:meth:`user_rows`). The table
-    also carries the cost coefficients as an array and the instance's total
-    energy.
+    Column k is the pair ``(users[k], starts[k])``, user by user in window
+    order, and ``feasible`` is the same pairs as an ``(n_users, horizon)``
+    mask; :meth:`live` and :meth:`schedule_columns` map pairs back to k.
+    ``rows`` is ``(m, horizon)``: row k is the per-slot load of the user's
+    pattern at that start (wrapping modulo the horizon). User n's rows, in
+    window order, are ``rows[heads[n] : heads[n] + radices[n]]``
+    (:meth:`user_rows`). The table also carries the cost coefficients as an
+    array and the instance's total energy.
     """
 
     def __init__(self, instance: ProblemInstance):
         horizon = instance.horizon
         self.start_sets = start_sets(instance)
+        self.radices = np.array([len(starts) for starts in self.start_sets])
+        self.heads = np.cumsum(self.radices) - self.radices
+        self.users = np.repeat(np.arange(instance.n_users), self.radices)
+        self.starts = np.concatenate(self.start_sets).astype(np.intp)
+        self.feasible = np.zeros((instance.n_users, horizon), dtype=bool)
+        self.feasible[self.users, self.starts] = True
+        self._names = [appliance.name for appliance in instance.appliances]
         self._padded = np.zeros((instance.n_users, horizon))
         for n, appliance in enumerate(instance.appliances):
             self._padded[n, : appliance.duration] = appliance.energy_pattern
         # pattern_n[(h - s) % horizon] = padded[n, offsets[s, h]]
         self._offsets = (np.arange(horizon)[None, :] - np.arange(horizon)[:, None]) % horizon
-        self.users, self.starts, self.feasible = flow_columns(instance)
         self.rows = self._padded[self.users[:, None], self._offsets[self.starts]]
-        self.radices = np.bincount(self.users, minlength=instance.n_users)
-        self.heads = np.cumsum(self.radices) - self.radices
-        # column of each (user, start) pair, m where it names none, with one
-        # row and one column of padding for every pair out of range
-        self._bounds = np.array([[instance.n_users], [horizon]], dtype=np.uintp)
-        self._columns = np.full((instance.n_users + 1, horizon + 1), len(self.users))
-        self._columns[self.users, self.starts] = np.arange(len(self.users))
         self.coefficients = np.asarray(instance.cost_coefficients)
         self.total_energy = instance_total_energy(instance)
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        # built on first lookup: a relaxed solve with no drops never needs it
+        pairs = zip(self.users.tolist(), self.starts.tolist())
+        return {pair: column for column, pair in enumerate(pairs)}
+
+    def _column(self, pair) -> int | None:
+        """Column of the ``(user, start)`` pair, or None for any pair that
+        names no flow variable, malformed and non-integer pairs included."""
+        try:
+            n, s = pair
+            return self._index.get((operator.index(n), operator.index(s)))
+        except (TypeError, ValueError):
+            return None
 
     def user_rows(self) -> list[np.ndarray]:
         """Each user's rows in window order, as views of ``rows``."""
@@ -93,61 +97,47 @@ class PlacementTable:
         """Column mask of the flow variables left after ``dropped``; raises
         InvalidInstanceError for the first pair that does not name a flow
         variable."""
-        pairs = list(dropped)
-        index = np.asarray(pairs) if pairs else np.empty((0, 2), dtype=np.intp)
-        if index.dtype.kind not in "iu" or index.shape[1:] != (2,):
-            # not all machine-integer pairs: check each pair on its own
-            index = np.array([
-                [operator.index(n), operator.index(s)]
-                if _is_flow_variable(self.feasible, n, s) else [-1, -1]
-                for n, s in pairs
-            ], dtype=np.intp)
-        # negative entries wrap to huge unsigned ones; all out-of-range pairs
-        # land on the padding, which names no column
-        n, s = np.minimum(index.astype(np.uintp).T, self._bounds)
-        columns = self._columns[n, s]
-        if columns.max(initial=0) == len(self.users):
-            n, s = pairs[int(np.argmax(columns))]
-            raise InvalidInstanceError(
-                f"drop ({n}, {s}) does not name a feasible start variable"
-            )
         keep = np.ones(len(self.users), dtype=bool)
-        keep[columns] = False
+        for pair in dropped:
+            column = self._column(pair)
+            if column is None:
+                raise InvalidInstanceError(
+                    f"drop {pair!r} does not name a feasible start variable"
+                )
+            keep[column] = False
         return keep
+
+    def schedule_columns(self, schedule: Sequence[int]) -> np.ndarray:
+        """Column of each user's start; raises InfeasibleFlowError for the
+        wrong number of starts or for the first start that is no flow variable."""
+        starts = tuple(schedule)
+        if len(starts) != len(self._names):
+            raise InfeasibleFlowError(
+                f"schedule has {len(starts)} starts for {len(self._names)} users"
+            )
+        columns = [self._column(pair) for pair in enumerate(starts)]
+        if None in columns:
+            n = columns.index(None)
+            raise InfeasibleFlowError(
+                f"user {n} ({self._names[n]}): start {starts[n]} not in "
+                f"feasible start set {np.flatnonzero(self.feasible[n]).tolist()}"
+            )
+        return np.array(columns, dtype=np.intp)
 
     def flow_loads(self, flows: np.ndarray) -> np.ndarray:
         """Per-slot load of a flow matrix; only in-window entries count."""
         return flows[self.users, self.starts] @ self.rows
 
-    def schedule_loads(self, starts: Sequence[int]) -> np.ndarray:
+    def schedule_loads(self, schedule: Sequence[int]) -> np.ndarray:
         """Per-slot load of one start per user, summed in user order; an
-        infeasible start raises IndexError."""
-        return self.rows[self._columns[np.arange(len(starts)), list(starts)]].sum(axis=0)
-
-
-def _is_flow_variable(feasible: np.ndarray, n, s) -> bool:
-    try:
-        n, s = operator.index(n), operator.index(s)
-    except TypeError:
-        return False
-    return 0 <= n < feasible.shape[0] and 0 <= s < feasible.shape[1] and feasible[n, s]
+        infeasible schedule raises InfeasibleFlowError."""
+        return self.rows[self.schedule_columns(schedule)].sum(axis=0)
 
 
 def validate_schedule(instance: ProblemInstance, schedule: Sequence[int]) -> tuple[int, ...]:
     """Check one integer start per user, each inside its feasible start set."""
-    starts = tuple(schedule)
-    if len(starts) != instance.n_users:
-        raise InfeasibleFlowError(
-            f"schedule has {len(starts)} starts for {instance.n_users} users"
-        )
-    feasible = flow_columns(instance)[2]
-    for n, s in enumerate(starts):
-        if not _is_flow_variable(feasible, n, s):
-            raise InfeasibleFlowError(
-                f"user {n} ({instance.appliances[n].name}): start {s} not in "
-                f"feasible start set {np.flatnonzero(feasible[n]).tolist()}"
-            )
-    return tuple(map(int, starts))
+    table = PlacementTable(instance)
+    return tuple(table.starts[table.schedule_columns(schedule)].tolist())
 
 
 def _flow_matrix(flows: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -168,7 +158,7 @@ def validate_flows(
     this order, an entry above ``tol`` outside the feasible start set, an
     entry outside [0, 1] by more than ``tol``, or a sum off 1 by more than ``tol``.
     """
-    return check_flows(flows, flow_columns(instance)[2], tol)
+    return check_flows(flows, PlacementTable(instance).feasible, tol)
 
 
 def check_flows(flows: np.ndarray, feasible: np.ndarray, tol: float) -> np.ndarray:
@@ -211,7 +201,7 @@ def flows_to_schedule(instance: ProblemInstance, flows: np.ndarray) -> tuple[int
     f = _flow_matrix(flows, (instance.n_users, instance.horizon))
     starts = f.argmax(axis=1)
     one_hot = one_hot_rows(f)
-    failed = ~(one_hot & flow_columns(instance)[2][np.arange(len(f)), starts])
+    failed = ~(one_hot & PlacementTable(instance).feasible[np.arange(len(f)), starts])
     if failed.any():
         n = int(np.argmax(failed))
         s = int(starts[n])
@@ -239,5 +229,4 @@ def load_profile_from_schedule(
     instance: ProblemInstance, schedule: Sequence[int]
 ) -> np.ndarray:
     """Per-slot total load for a concrete schedule (one start per user)."""
-    starts = validate_schedule(instance, schedule)
-    return PlacementTable(instance).schedule_loads(starts)
+    return PlacementTable(instance).schedule_loads(schedule)

@@ -14,10 +14,12 @@ Instance document (version 1)::
       ]
     }
 
-Unknown fields are rejected; error messages point at the offending location.
-Result tables hold one row per solver run; CSV and JSON renderings carry the
-same numeric values to 12 significant digits. File writes go through a
-temporary file and an atomic rename.
+Catalog references need horizon 24, the catalog's hourly slots; other
+appliances are written out in full. Unknown fields are rejected; error
+messages point at the offending location. Result tables hold one row per
+solver run; CSV and JSON renderings carry the same numeric values to 12
+significant digits. File writes go through a temporary file and an atomic
+rename.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .catalog import DEFAULT_CATALOG, CatalogEntry, catalog_appliance, check_catalog_horizon
+from .catalog import CATALOG_HORIZON, catalog_appliance
 from .errors import InvalidInstanceError, ParseError
 from .model import Appliance, ProblemInstance
 from .objectives import default_cost_coefficients
@@ -109,9 +111,7 @@ def _parse_coefficients(raw, horizon: int) -> tuple[float, ...]:
     raise ParseError("must be a per-slot list or a tier mapping", "cost_coefficients")
 
 
-def _parse_appliance(
-    raw, index: int, catalog: Mapping[str, CatalogEntry], horizon: int
-) -> Appliance:
+def _parse_appliance(raw, index: int, horizon: int) -> Appliance:
     location = f"appliances[{index}]"
     if not isinstance(raw, dict):
         raise ParseError("appliance entry must be an object", location)
@@ -122,11 +122,14 @@ def _parse_appliance(
             raise ParseError(
                 f"catalog reference cannot also set {sorted(extra)}", location
             )
-        try:
-            check_catalog_horizon(catalog, horizon)
-            return catalog_appliance(
-                raw["catalog"], raw.get("name"), catalog=catalog
+        if horizon != CATALOG_HORIZON:
+            raise ParseError(
+                f"the default catalog has hourly slots (horizon {CATALOG_HORIZON}), "
+                f"got horizon {horizon}",
+                location,
             )
+        try:
+            return catalog_appliance(raw["catalog"], raw.get("name"))
         except InvalidInstanceError as exc:
             raise ParseError(str(exc), location) from None
     for key in ("name", "window_start", "window_end", "duration"):
@@ -157,11 +160,8 @@ def _parse_appliance(
         raise ParseError(str(exc), location) from None
 
 
-def parse_instance(
-    text: str, catalog: Mapping[str, CatalogEntry] | None = None
-) -> ProblemInstance:
+def parse_instance(text: str) -> ProblemInstance:
     """Parse an instance document, or raise a ParseError locating the defect."""
-    catalog = DEFAULT_CATALOG if catalog is None else catalog
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -184,7 +184,7 @@ def parse_instance(
     if not isinstance(raw_appliances, list) or not raw_appliances:
         raise ParseError("need a non-empty appliance list", "appliances")
     appliances = tuple(
-        _parse_appliance(raw, i, catalog, horizon) for i, raw in enumerate(raw_appliances)
+        _parse_appliance(raw, i, horizon) for i, raw in enumerate(raw_appliances)
     )
     coefficients = _parse_coefficients(doc.get("cost_coefficients"), horizon)
     try:
@@ -231,11 +231,9 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def read_instance_file(
-    path: str, catalog: Mapping[str, CatalogEntry] | None = None
-) -> ProblemInstance:
+def read_instance_file(path: str) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read(), catalog=catalog)
+        return parse_instance(handle.read())
 
 
 def write_instance_file(instance: ProblemInstance, path: str) -> None:

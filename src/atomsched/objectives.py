@@ -68,12 +68,14 @@ def par(loads: np.ndarray, total_energy: float, horizon: int) -> float:
 
     ``total_energy`` is the daily energy of all users (kWh), which is fixed by
     the instance, so PAR and peak load are equivalent objectives. It must be
-    finite and > 0.
+    finite and > 0, and ``horizon`` must be the profile's slot count.
     """
     if not 0.0 < total_energy < np.inf:
         raise InvalidInstanceError(f"total energy must be finite and > 0, got {total_energy!r}")
     loads = np.asarray(loads, dtype=np.float64)
-    return float(horizon * loads.max() / total_energy)
+    if loads.shape != (horizon,):
+        raise InvalidInstanceError(f"load profile has shape {loads.shape}, horizon {horizon}")
+    return float(score_loads(ObjectiveKind.PAR, loads, None, total_energy))
 
 
 def cost_gradient(

@@ -62,11 +62,6 @@ def resolve_workers(requested: int | None = None) -> int:
     return workers
 
 
-def _decode_schedule(table: PlacementTable, index: int) -> tuple[int, ...]:
-    digits = np.unravel_index(index, table.radices)
-    return tuple(table.start_sets[n][int(d)] for n, d in enumerate(digits))
-
-
 def brute_force(
     instance: ProblemInstance,
     objective: ObjectiveKind,
@@ -96,8 +91,10 @@ def brute_force(
         # the ranges ascend and min keeps the first minimum: ties keep the lowest index
         best_val, best_idx = min(partials, key=lambda partial: partial[0])
 
+    # digit d of user n is the user's column heads[n] + d
+    digits = np.unravel_index(int(best_idx), table.radices)
     return OracleResult(
-        schedule=_decode_schedule(table, int(best_idx)),
+        schedule=tuple(table.starts[table.heads + digits].tolist()),
         objective_value=float(best_val),
         evaluations=total,
         objective=objective,

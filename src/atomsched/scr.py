@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IterationLimitError, SolverError
-from .flows import INTEGRAL_TOL, PlacementTable, one_hot_rows, validate_schedule
+from .flows import INTEGRAL_TOL, PlacementTable, one_hot_rows
 from .model import ProblemInstance
 from .objectives import ObjectiveKind, score_loads
 from .relaxation import (
@@ -118,23 +118,23 @@ def polish_schedule(
     if table is None:
         table = PlacementTable(instance)
     coeffs, energy = table.coefficients, table.total_energy
-    starts = list(validate_schedule(instance, schedule))
+    columns = table.schedule_columns(schedule)
     moved = True
     while moved:
         moved = False
         for n, rows in enumerate(table.user_rows()):
-            loads = table.schedule_loads(starts)
-            placed = loads - rows[table.start_sets[n].index(starts[n])] + rows
+            loads = table.rows[columns].sum(axis=0)
+            placed = loads - table.rows[columns[n]] + rows
             values = score_loads(objective, placed, coeffs, energy)
-            best_s = starts[n]
+            best = columns[n]
             best_v = float(score_loads(objective, loads, coeffs, energy))
-            for s, value in zip(table.start_sets[n], values.tolist()):
+            for column, value in enumerate(values.tolist(), table.heads[n]):
                 if value < best_v - _IMPROVEMENT:
-                    best_v, best_s = value, s
-            if best_s != starts[n]:
-                starts[n] = best_s
+                    best_v, best = value, column
+            if best != columns[n]:
+                columns[n] = best
                 moved = True
-    return tuple(starts)
+    return tuple(table.starts[columns].tolist())
 
 
 def _leading_starts(flows: np.ndarray) -> np.ndarray:

@@ -57,18 +57,20 @@ def test_generate_instance_uniformity():
 def test_generate_instance_errors():
     with pytest.raises(InvalidInstanceError):
         a.generate_instance(0, 1)
-    with pytest.raises(InvalidInstanceError):
-        a.generate_instance(2, 1, catalog={})
+
+
+@pytest.mark.parametrize(
+    "n_users, seed", [(2.5, 1), (True, 1), (3, 2.5), (3, -1), (3, True), (3, False)]
+)
+def test_generate_instance_rejects_non_integer_sizes_and_seeds(n_users, seed):
+    with pytest.raises(InvalidInstanceError, match="must be an integer"):
+        a.generate_instance(n_users, seed)
 
 
 def test_default_catalog_requires_hourly_horizon():
-    with pytest.raises(InvalidInstanceError, match="horizon 96"):
-        a.generate_instance(3, 1, horizon=96)
-    with pytest.raises(InvalidInstanceError, match="horizon 12"):
-        a.generate_instance(3, 1, catalog=a.DEFAULT_CATALOG, horizon=12)
-    quarter_hours = {"kettle": a.CatalogEntry.constant("kettle", 28, 35, 1, 0.5)}
-    inst = a.generate_instance(2, 1, catalog=quarter_hours, horizon=96)
-    assert inst.horizon == 96 and len(inst.cost_coefficients) == 96
+    inst = a.generate_instance(3, 1)
+    assert inst.horizon == 24
+    assert inst.cost_coefficients == a.default_cost_coefficients(24)
 
 
 def test_catalog_reference_requires_hourly_horizon():
@@ -77,9 +79,6 @@ def test_catalog_reference_requires_hourly_horizon():
         a.parse_instance(json.dumps(doc))
     doc["horizon"] = 24
     assert a.parse_instance(json.dumps(doc)).appliances[0].window_start == 22
-    quarter_hours = {"kettle": a.CatalogEntry.constant("kettle", 28, 35, 1, 0.5)}
-    doc = {"version": 1, "horizon": 96, "appliances": [{"catalog": "kettle"}]}
-    assert a.parse_instance(json.dumps(doc), catalog=quarter_hours).horizon == 96
 
 
 def test_round_trip_generated_instances():

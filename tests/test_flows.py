@@ -163,7 +163,19 @@ def test_placement_table_rejects_pairs_off_the_flow_columns():
     inst = a.generate_instance(3, 1)  # start sets 0..21, 0..21 and 0..20
     table = a.PlacementTable(inst)
     for starts in ((0, 3, 23), (0, 3, 21), (-1, 3, 6)):
-        with pytest.raises(IndexError):
+        with pytest.raises(InfeasibleFlowError):
             table.schedule_loads(starts)
     with pytest.raises(InvalidInstanceError, match=r"drop \(2, 21\)"):
         table.live([(0, 1), (2, 21), (1, 99)])
+
+
+MALFORMED_DROPS = ([(1, 2, 3)], [(1, 2), (3,)], [5])
+
+
+@pytest.mark.parametrize("dropped", MALFORMED_DROPS)
+def test_malformed_drop_pairs_are_typed_errors(dropped):
+    inst = a.generate_instance(3, 1)
+    with pytest.raises(InvalidInstanceError, match="does not name a feasible start"):
+        a.PlacementTable(inst).live(dropped)
+    with pytest.raises(InvalidInstanceError, match="does not name a feasible start"):
+        a.solve_relaxed(inst, a.ObjectiveKind.COST, dropped)

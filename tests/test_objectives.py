@@ -91,6 +91,14 @@ def test_par_examples(dish_washer_instance, two_window_instance):
     )
 
 
+def test_par_rejects_a_horizon_off_the_profile_length():
+    # a flat profile scores 1; a horizon of twice its slots would double that
+    assert a.par(np.ones(24), 24.0, 24) == 1.0
+    for loads, horizon in ((np.ones(24), 48), (np.ones(24), 12), (np.ones((2, 24)), 24)):
+        with pytest.raises(InvalidInstanceError, match="load profile"):
+            a.par(loads, 24.0, horizon)
+
+
 def test_par_rejects_zero_energy():
     for total_energy in (0.0, np.nan, np.inf):
         with pytest.raises(InvalidInstanceError):
