@@ -59,7 +59,7 @@ class PlacementTable:
         self.starts = np.concatenate(self.start_sets).astype(np.intp)
         self.feasible = np.zeros((instance.n_users, horizon), dtype=bool)
         self.feasible[self.users, self.starts] = True
-        self._names = [appliance.name for appliance in instance.appliances]
+        self.instance = instance
         self._padded = np.zeros((instance.n_users, horizon))
         for n, appliance in enumerate(instance.appliances):
             self._padded[n, : appliance.duration] = appliance.energy_pattern
@@ -83,6 +83,12 @@ class PlacementTable:
             return self._index.get((operator.index(n), operator.index(s)))
         except (TypeError, ValueError):
             return None
+
+    def check_instance(self, instance: ProblemInstance) -> PlacementTable:
+        """This table, if it was built for ``instance``; else InvalidInstanceError."""
+        if self.instance != instance:
+            raise InvalidInstanceError("the placement table was built for another instance")
+        return self
 
     def user_rows(self) -> list[np.ndarray]:
         """Each user's rows in window order, as views of ``rows``."""
@@ -111,15 +117,15 @@ class PlacementTable:
         """Column of each user's start; raises InfeasibleFlowError for the
         wrong number of starts or for the first start that is no flow variable."""
         starts = tuple(schedule)
-        if len(starts) != len(self._names):
+        if len(starts) != self.instance.n_users:
             raise InfeasibleFlowError(
-                f"schedule has {len(starts)} starts for {len(self._names)} users"
+                f"schedule has {len(starts)} starts for {self.instance.n_users} users"
             )
         columns = [self._column(pair) for pair in enumerate(starts)]
         if None in columns:
             n = columns.index(None)
             raise InfeasibleFlowError(
-                f"user {n} ({self._names[n]}): start {starts[n]} not in "
+                f"user {n} ({self.instance.appliances[n].name}): start {starts[n]} not in "
                 f"feasible start set {np.flatnonzero(self.feasible[n]).tolist()}"
             )
         return np.array(columns, dtype=np.intp)

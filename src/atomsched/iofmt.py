@@ -116,6 +116,9 @@ def _parse_appliance(raw, index: int, horizon: int) -> Appliance:
     if not isinstance(raw, dict):
         raise ParseError("appliance entry must be an object", location)
     _require_keys(raw, _APPLIANCE_KEYS, location)
+    for key in ("catalog", "name"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ParseError(f"expected a string, got {raw[key]!r}", f"{location}.{key}")
     if "catalog" in raw:
         extra = set(raw) - {"catalog", "name"}
         if extra:
@@ -150,7 +153,7 @@ def _parse_appliance(raw, index: int, horizon: int) -> Appliance:
         )
     try:
         return Appliance(
-            str(raw["name"]),
+            raw["name"],
             _as_int(raw["window_start"], f"{location}.window_start"),
             _as_int(raw["window_end"], f"{location}.window_end"),
             duration,

@@ -50,9 +50,7 @@ class IpmResult:
 def _step_length(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest alpha in (0, 1] keeping v + alpha*dv >= 0."""
     neg = dv < 0.0
-    if not neg.any():
-        return 1.0
-    return min(1.0, -float((v[neg] / dv[neg]).max()))
+    return -float((v[neg] / dv[neg]).max(initial=-1.0))
 
 
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -103,7 +101,6 @@ def solve_standard_form(
         raise ValueError("every simplex group needs at least one column")
     heads = np.cumsum(sizes) - sizes
     grouped = int(sizes.sum())
-    group_of = np.repeat(np.arange(len(sizes)), sizes)
 
     G, w = np.zeros((0, n_var)), np.zeros(0)
     if quad_factor is not None:
@@ -115,26 +112,23 @@ def solve_standard_form(
     C = np.zeros((0, n_var)) if coupling is None else np.asarray(coupling, dtype=np.float64)
     d = np.zeros(len(C)) if coupling is None else np.asarray(coupling_rhs, dtype=np.float64)
     F = np.vstack([G, C])
+    f_tilde = F.copy()  # columns in no group are never centred
     c = np.zeros(n_var) if linear is None else np.asarray(linear, dtype=np.float64)
 
     def group_sums(v):
         return np.add.reduceat(v[..., :grouped], heads, axis=-1)
 
-    def gradient(x):
-        return 2.0 * (G.T @ (w * (G @ x))) + c if n_quad else c
-
-    def objective(x):
-        if not n_quad:
-            return float(c @ x)
-        gx = G @ x
-        return float(c @ x) + float(w @ (gx * gx))
-
-    def residuals(x, y_e, y_c, z):
-        """Gradient, dual residual and the two primal residuals at an iterate."""
-        gradient_x = gradient(x)
-        r_d = gradient_x - C.T @ y_c - z
-        r_d[:grouped] -= y_e[group_of]
-        return gradient_x, r_d, group_sums(x) - 1.0, C @ x - d
+    def evaluate(x, y_e, y_c, z):
+        """Objective, gradient, dual residual and the two primal residuals at
+        an iterate; G x is formed once for the objective and the gradient."""
+        obj, gradient_x = float(c @ x), c
+        if n_quad:
+            gx = G @ x
+            obj += float(w @ (gx * gx))
+            gradient_x = 2.0 * (G.T @ (w * gx)) + c
+        r_d = gradient_x - C.T @ y_c - z if len(d) else gradient_x - z
+        r_d[:grouped] -= y_e.repeat(sizes)
+        return obj, gradient_x, r_d, group_sums(x) - 1.0, (C @ x - d if len(d) else d)
 
     y_e = np.zeros(len(sizes))
     y_c = np.zeros(len(d))
@@ -156,9 +150,9 @@ def solve_standard_form(
 
     try:
         for iterations in range(1, max_iterations + 1):
-            gradient_x, r_d, r_e, r_c = residuals(x, y_e, y_c, z)
+            obj, gradient_x, r_d, r_e, r_c = evaluate(x, y_e, y_c, z)
             gap = float(x @ z)
-            if converged(gradient_x, r_d, r_e, r_c, gap, objective(x)):
+            if converged(gradient_x, r_d, r_e, r_c, gap, obj):
                 status = "optimal"
                 iterations -= 1
                 break
@@ -168,8 +162,8 @@ def solve_standard_form(
             delta = group_sums(dinv)
             # rows centred per group with weights x/z: F~ = F - Fbar per group
             f_bar = group_sums(F * dinv) / delta
-            f_tilde = F.copy()
-            f_tilde[:, :grouped] -= f_bar[:, group_of]
+            np.subtract(F[:, :grouped], f_bar.repeat(sizes, axis=1),
+                        out=f_tilde[:, :grouped])
             system = (f_tilde * dinv) @ f_tilde.T
             if n_quad:
                 system[np.diag_indices(n_quad)] += half_inv_w
@@ -180,7 +174,7 @@ def solve_standard_form(
                 group's entries sum to -r, and the shift."""
                 t = dinv * q
                 shift = (group_sums(t) + r) / delta
-                t[:grouped] -= dinv_grouped * shift[group_of]
+                t[:grouped] -= dinv_grouped * shift.repeat(sizes)
                 return t, shift
 
             # predictor: pure Newton step toward complementarity zero
@@ -209,7 +203,7 @@ def solve_standard_form(
             u += du
             dx = dx_a + t + dinv * (f_tilde.T @ du)
             fix = (group_sums(dx) + r_e) / delta
-            dx[:grouped] -= dinv_grouped * fix[group_of]
+            dx[:grouped] -= dinv_grouped * fix.repeat(sizes)
             shift += shift_q + fix
             dz = q - z - z_over_x * dx
 
@@ -222,7 +216,7 @@ def solve_standard_form(
             y_e = y_e - alpha_d * (shift + f_bar.T @ u)
             y_c = y_c + alpha_d * u[n_quad:]
             z = z + alpha_d * dz
-            if not all(np.isfinite(v).all() for v in (x, y_e, y_c, z)):
+            if not np.isfinite(np.concatenate((x, y_e, y_c, z))).all():
                 # a non-finite iterate never recovers: stop instead of
                 # iterating on NaN up to the limit
                 status = "numerical_failure"
@@ -233,15 +227,15 @@ def solve_standard_form(
     if status != "optimal":
         # accept a mildly looser iterate rather than discarding a usable one
         # (typical when endgame degeneracy stalls the last digits of the gap)
-        gradient_x, r_d, r_e, r_c = residuals(x, y_e, y_c, z)
-        if converged(gradient_x, r_d, r_e, r_c, float(x @ z), objective(x), factor=100.0):
+        obj, gradient_x, r_d, r_e, r_c = evaluate(x, y_e, y_c, z)
+        if converged(gradient_x, r_d, r_e, r_c, float(x @ z), obj, factor=100.0):
             status = "optimal"
 
     return IpmResult(
         x=x,
         eq_duals=np.concatenate([y_e, y_c]),
         bound_duals=z,
-        objective=objective(x),
+        objective=obj,
         iterations=iterations,
         status=status,
     )

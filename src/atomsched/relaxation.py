@@ -75,12 +75,13 @@ def solve_relaxed(
     objective: ObjectiveKind,
     dropped: Collection[tuple[int, int]] = (),
     settings: SolverSettings = DEFAULT_SETTINGS,
+    table: PlacementTable | None = None,
 ) -> RelaxedSolution:
-    """Solve the cost QP or the peak LP over the flow columns live under
-    ``dropped``; the peak LP's objective value is its peak variable (kWh)."""
+    """Solve the cost QP or the peak LP (value: its peak variable, kWh) over the
+    columns live under ``dropped``; SCR passes in its ``table`` to skip rebuilding it."""
     if not isinstance(objective, ObjectiveKind):
         raise ValueError(f"unknown objective {objective!r}")
-    table = PlacementTable(instance)
+    table = PlacementTable(instance) if table is None else table.check_instance(instance)
     live = table.live(dropped)
     users, starts = table.users[live], table.starts[live]
     per_user = np.bincount(users, minlength=instance.n_users)
@@ -91,7 +92,7 @@ def solve_relaxed(
     m, horizon = len(users), instance.horizon
     loads_of = np.ascontiguousarray(table.rows[live].T)
     feasible, weights = table.feasible, table.coefficients
-    del table  # free the full rows: the solve needs only the live ones
+    del table  # free the full rows if built here: the solve needs only the live ones
     x0 = 1.0 / per_user[users]
     if objective is ObjectiveKind.COST:
         problem = dict(quad_factor=loads_of, quad_weights=weights,
@@ -104,7 +105,9 @@ def solve_relaxed(
         loads0 = loads_of @ x0
         peak0 = float(loads0.max()) + 1.0
         x0 = np.concatenate([x0, [peak0], peak0 - loads0])
-        coupling = np.hstack([loads_of, np.full((horizon, 1), -1.0), np.eye(horizon)])
+        coupling = np.zeros((horizon, m + 1 + horizon))
+        coupling[:, :m], coupling[:, m] = loads_of, -1.0
+        np.fill_diagonal(coupling[:, m + 1:], 1.0)
         problem = dict(quad_factor=None, quad_weights=None, linear=linear,
                        coupling=coupling, coupling_rhs=np.zeros(horizon))
     result = solve_standard_form(**problem, group_sizes=per_user, x0=x0,

@@ -106,34 +106,33 @@ def polish_schedule(
 ) -> tuple[int, ...]:
     """Deterministic coordinate descent over single-start moves.
 
-    Users are revisited in order; each moves to its best start given the
-    others (candidates in window order, strict improvement only), until a
-    full pass makes no move. The result never scores worse than the input.
+    Users take turns in order; each moves to its best start given the
+    others (candidates in window order, strict improvement only), until every
+    user has had a turn since the last move. The result never scores worse
+    than the input.
     All starts of one user are scored in one array expression; ``table`` may
     pass in the instance's placement table to skip rebuilding it. An
     objective that is not an ``ObjectiveKind`` raises ValueError.
     """
     if not isinstance(objective, ObjectiveKind):
         raise ValueError(f"unknown objective {objective!r}")
-    if table is None:
-        table = PlacementTable(instance)
+    table = PlacementTable(instance) if table is None else table.check_instance(instance)
     coeffs, energy = table.coefficients, table.total_energy
     columns = table.schedule_columns(schedule)
-    moved = True
-    while moved:
-        moved = False
-        for n, rows in enumerate(table.user_rows()):
+    user_rows, n, idle = table.user_rows(), 0, 0
+    while idle < len(user_rows):
+        if idle == 0:  # the loads and their value change only with a move
             loads = table.rows[columns].sum(axis=0)
-            placed = loads - table.rows[columns[n]] + rows
-            values = score_loads(objective, placed, coeffs, energy)
-            best = columns[n]
-            best_v = float(score_loads(objective, loads, coeffs, energy))
-            for column, value in enumerate(values.tolist(), table.heads[n]):
-                if value < best_v - _IMPROVEMENT:
-                    best_v, best = value, column
-            if best != columns[n]:
-                columns[n] = best
-                moved = True
+            current = float(score_loads(objective, loads, coeffs, energy))
+        placed = loads - table.rows[columns[n]] + user_rows[n]
+        values = score_loads(objective, placed, coeffs, energy)
+        best, best_v = columns[n], current
+        for column, value in enumerate(values.tolist(), table.heads[n]):
+            if value < best_v - _IMPROVEMENT:
+                best_v, best = value, column
+        idle = 0 if best != columns[n] else idle + 1
+        columns[n] = best
+        n = (n + 1) % len(user_rows)
     return tuple(table.starts[columns].tolist())
 
 
@@ -143,13 +142,11 @@ def _leading_starts(flows: np.ndarray) -> np.ndarray:
 
 
 def _select_drops(
-    table: PlacementTable, flows: np.ndarray, dropped: Sequence[tuple[int, int]],
-    config: SCRConfig,
+    table: PlacementTable, flows: np.ndarray, live: np.ndarray, config: SCRConfig,
 ) -> tuple[tuple[int, int], ...]:
     """One round's drops, by the rule in the module docstring, from relaxed
-    flows solved under ``dropped``: zero off the live columns, so each row's
+    flows solved over the ``live`` columns: zero off them, so each row's
     leading element is live."""
-    live = table.live(dropped)
     users, starts = table.users[live], table.starts[live]
     values = flows[users, starts]
     protected = _leading_starts(flows)[users] == starts
@@ -174,10 +171,10 @@ def successive_convex_relaxation(
     """Compute a Boolean schedule with matching lower/upper bounds."""
     table = PlacementTable(instance)
     max_rounds = config.max_iterations or len(table.users)
+    live = table.live(())  # _select_drops' mask of the undropped columns
 
     drop_history: list[tuple[int, int]] = []
     trace: list[IterationRecord] = []
-    lower_raw = None
     incumbent: tuple[int, ...] | None = None
     incumbent_value = np.inf
     # rounded schedules already scored: a repeat polishes to the same
@@ -185,9 +182,7 @@ def successive_convex_relaxation(
     scored: set[tuple[int, ...]] = set()
 
     for iteration in range(1, max_rounds + 1):
-        solution = solve_relaxed(instance, objective, drop_history, settings)
-        if lower_raw is None:
-            lower_raw = solution.objective_value
+        solution = solve_relaxed(instance, objective, drop_history, settings, table=table)
         flows = solution.flows
 
         # dropped and out-of-window flows are exact zeros, so whole rows
@@ -209,11 +204,14 @@ def successive_convex_relaxation(
             if value < incumbent_value - _IMPROVEMENT:
                 incumbent, incumbent_value = schedule, value
 
+        dropped_now = () if integral else _select_drops(table, flows, live, config)
+        live &= table.live(dropped_now)
+        drop_history.extend(dropped_now)
+        trace.append(IterationRecord(iteration, solution.objective_value, dropped_now))
         if integral:
-            trace.append(IterationRecord(iteration, solution.objective_value, ()))
-            lower = lower_raw
+            lower = trace[0].relaxed_objective  # the first round's relaxed optimum
             if objective is ObjectiveKind.PAR:
-                lower = par_ratio_from_peak(instance, lower_raw)
+                lower = par_ratio_from_peak(instance, lower)
             return SCRResult(
                 schedule=incumbent,
                 upper_bound=float(incumbent_value),
@@ -223,10 +221,6 @@ def successive_convex_relaxation(
                 drop_history=tuple(drop_history),
                 objective=objective,
             )
-
-        dropped_now = _select_drops(table, flows, drop_history, config)
-        drop_history.extend(dropped_now)
-        trace.append(IterationRecord(iteration, solution.objective_value, dropped_now))
 
     raise IterationLimitError(
         f"no 0/1 solution after {max_rounds} rounds; "

@@ -172,6 +172,29 @@ def test_parse_rejections(mutate, message):
         a.parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name", [["x"], 5, None])
+@pytest.mark.parametrize(
+    "appliance",
+    [
+        {"catalog": "phev"},
+        {"window_start": 0, "window_end": 23, "duration": 2, "level": 0.72},
+    ],
+    ids=["catalog", "inline"],
+)
+def test_appliance_name_must_be_a_string(appliance, name):
+    """One rule in both branches: a list name used to reach the solver and
+    fail there, and an int name parsed to a value that did not round-trip."""
+    doc = {"version": 1, "horizon": 24, "appliances": [dict(appliance, name=name)]}
+    with pytest.raises(ParseError, match=r"appliances\[0\]\.name: expected a string"):
+        a.parse_instance(json.dumps(doc))
+
+
+def test_catalog_key_must_be_a_string():
+    doc = {"version": 1, "horizon": 24, "appliances": [{"catalog": ["phev"]}]}
+    with pytest.raises(ParseError, match=r"appliances\[0\]\.catalog: expected a string"):
+        a.parse_instance(json.dumps(doc))
+
+
 def test_parse_syntax_error_is_positioned():
     with pytest.raises(ParseError, match=r"line \d+ column \d+"):
         a.parse_instance("{\n  \"version\": 1,\n}")

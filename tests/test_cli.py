@@ -168,6 +168,15 @@ def test_invalid_instance_exit_code(tmp_path, capsys):
     assert "atomsched:" in capsys.readouterr().err
 
 
+def test_non_string_appliance_name_exit_code(tmp_path, capsys):
+    path = str(tmp_path / "listname.json")
+    with open(path, "w") as handle:
+        handle.write('{"version": 1, "horizon": 24, '
+                     '"appliances": [{"catalog": "phev", "name": ["x"]}]}')
+    assert main(["solve", path]) == 1
+    assert "expected a string" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["solve", "/nonexistent/inst.json"]) == 1
     capsys.readouterr()

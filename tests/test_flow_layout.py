@@ -172,18 +172,19 @@ def test_select_drops_matches_reference_loop(case):
     instance, flows, dropped, config = case
     table = a.PlacementTable(instance)
     pairs = zip(table.users.tolist(), table.starts.tolist())
-    assert table.live(dropped).tolist() == [pair not in dropped for pair in pairs]
+    live = table.live(dropped)
+    assert live.tolist() == [pair not in dropped for pair in pairs]
     try:
         expected = reference_select_drops(instance, flows, set(dropped), config)
     except SolverError:
         with pytest.raises(SolverError):
-            scr._select_drops(table, flows, dropped, config)
+            scr._select_drops(table, flows, live, config)
     else:
-        assert scr._select_drops(table, flows, dropped, config) == expected
+        assert scr._select_drops(table, flows, live, config) == expected
 
 
 def test_midnight_tie_protects_lowest_slot():
     instance, flows, dropped, config = _midnight_tie()
     table = a.PlacementTable(instance)
     drops = ((0, 2), (0, 23), (1, 22), (0, 1), (0, 22), (1, 1))
-    assert scr._select_drops(table, flows, dropped, config) == drops
+    assert scr._select_drops(table, flows, table.live(dropped), config) == drops

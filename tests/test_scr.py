@@ -68,6 +68,61 @@ def test_upper_bound_is_the_oracle_value_of_its_schedule(n, seed, objective):
     )
 
 
+@pytest.mark.parametrize("n, seed", [(5, 1), (10, 1), (10, 2)])
+@pytest.mark.parametrize("objective", [COST, PAR])
+def test_every_round_matches_a_fresh_public_solve(n, seed, objective, monkeypatch):
+    """SCR carries one placement table and one live-column mask through its
+    rounds. Each round's relaxed solution must be bit-identical to a fresh
+    public solve_relaxed of the drops made so far, with no table passed, and
+    the mask _select_drops reads must be the live columns of those drops; CI
+    also runs this test under OPENBLAS_CORETYPE=Sandybridge."""
+    instance = a.generate_instance(n, seed)
+    rounds, masks = [], []
+    solve, select = scr.solve_relaxed, scr._select_drops
+
+    def recording(*args, **kwargs):
+        assert kwargs["table"] is not None
+        solution = solve(*args, **kwargs)
+        rounds.append((len(args[2]), solution))
+        return solution
+
+    def recording_select(table, flows, live, config):
+        masks.append(live.copy())
+        return select(table, flows, live, config)
+
+    monkeypatch.setattr(scr, "solve_relaxed", recording)
+    monkeypatch.setattr(scr, "_select_drops", recording_select)
+    result = a.successive_convex_relaxation(instance, objective)
+    assert len(rounds) == result.iterations == len(masks) + 1
+    table = a.PlacementTable(instance)
+    for (k, solution), mask in zip(rounds, masks):
+        assert np.array_equal(mask, table.live(result.drop_history[:k])), k
+    for k, solution in rounds:
+        fresh = a.solve_relaxed(instance, objective, result.drop_history[:k])
+        assert solution.flows.tobytes() == fresh.flows.tobytes(), k
+        assert float(solution.objective_value).hex() == float(fresh.objective_value).hex(), k
+        assert solution.iterations == fresh.iterations, k
+
+
+def test_a_placement_table_of_another_instance_is_rejected():
+    instance, other = a.generate_instance(3, 1), a.generate_instance(3, 2)
+    table = a.PlacementTable(other)
+    schedule = tuple(starts[0] for starts in table.start_sets)
+    with pytest.raises(a.InvalidInstanceError, match="another instance"):
+        a.solve_relaxed(instance, COST, table=table)
+    with pytest.raises(a.InvalidInstanceError, match="another instance"):
+        a.polish_schedule(instance, PAR, schedule, table=table)
+    # an equal instance built anew shares the table
+    twin = a.generate_instance(3, 2)
+    assert twin is not other
+    assert a.solve_relaxed(twin, COST, table=table).objective_value == (
+        a.solve_relaxed(other, COST).objective_value
+    )
+    assert a.polish_schedule(twin, PAR, schedule, table=table) == (
+        a.polish_schedule(other, PAR, schedule)
+    )
+
+
 def test_result_invariants_and_trace():
     inst = a.generate_instance(4, 5)
     for objective in (COST, PAR):
@@ -169,9 +224,10 @@ def test_near_tied_flows_drop_and_keep_by_user_and_slot():
     flows[:, :5] = [0.4, 0.4, 0.1, 0.05, 0.05]
     flows[1, 1] += 1e-15
     flows[1, 4] -= 1e-15
-    assert scr._select_drops(table, flows, [], a.SCRConfig()) == ((0, 3),)
+    live = table.live([])
+    assert scr._select_drops(table, flows, live, a.SCRConfig()) == ((0, 3),)
     everything = a.SCRConfig(drop_threshold=0.5, max_drops_per_iteration=10)
-    assert scr._select_drops(table, flows, [], everything) == (
+    assert scr._select_drops(table, flows, live, everything) == (
         (0, 3), (0, 4), (1, 3), (1, 4), (0, 2), (1, 2), (0, 1), (1, 1)
     )
     assert scr._leading_starts(flows).tolist() == [0, 0]
