@@ -14,10 +14,18 @@ added in user order.
 
 The scan is split over blocks that pair a few schedules of the first users
 (the prefix, possibly empty) with every schedule of the last users (the
-suffix, never empty). PAR is exact per block; cost is scored from prefix
-and suffix tables, and the pairs rounding may put at the minimum are
+suffix, never empty). PAR scores a block's prefix rows exactly, except rows
+whose peak bound cannot beat the range's best so far; cost is scored from
+prefix and suffix tables, and the pairs rounding may put at the minimum are
 re-scored from their loads, summed in user order, by
 ``objectives.score_loads``, the scorer SCR uses too.
+
+The PAR bound needs no slack: row entries are >= 0 and adding a
+nonnegative float never lowers a rounded sum, so a schedule's peak is at
+least its prefix's peak and each suffix user's lowest row peak, and
+``H * peak / E`` is monotone in the peak. A row is skipped only when its
+bound is >= the best value at a lower index of the same range, so the
+first-index rule and worker-count independence hold.
 
 Two constants size the split. ``_SUFFIX_CAP`` bounds the suffix, whose
 loads the cost path keeps, H floats per schedule, for the whole scan.
@@ -129,6 +137,9 @@ def scan_range(
         # the lower canonical value; 8 gamma_K also covers rounding the cut
         unit = (2 * len(user_rows) + horizon + 8) * np.finfo(float).eps / 2
         cut_factor = 1 + 8 * unit / (1 - unit)
+    else:
+        # a schedule's peak is at least each suffix user's own row peak
+        floor = max(rows.max(axis=1).min() for rows in user_rows[m:])
     rows = max(1, _BLOCK // size)
     q_end = (hi - 1) // size + 1
     for q0 in range(lo // size, q_end, rows):
@@ -136,9 +147,19 @@ def scan_range(
         base = q0 * size
         first = max(lo - base, 0)
         if objective is not ObjectiveKind.COST:
-            peaks = _block_peaks(prefix, user_rows[m:])[first : hi - base]
-            index = np.arange(base + first, base + first + len(peaks))
-            best = _first_min(best, index, (horizon * peaks) / table.total_energy)
+            # the same expression as the value, so bound <= value holds exactly
+            bound = (horizon * np.maximum(prefix.max(axis=1), floor)) / table.total_energy
+            keep = np.flatnonzero(bound < best[0])
+            if not len(keep):
+                continue
+            peaks = _block_peaks(prefix[keep], user_rows[m:]).reshape(len(keep), size)
+            # only the range's first and last prefix rows reach past lo..hi-1
+            peaks[0, : max(first - keep[0] * size, 0)] = np.inf
+            peaks[-1, hi - base - keep[-1] * size :] = np.inf
+            vals = (horizon * peaks.ravel()) / table.total_energy
+            k = int(np.argmin(vals))
+            if vals[k] < best[0]:
+                best = (float(vals[k]), base + int(keep[k // size]) * size + k % size)
             continue
         weighted = prefix * coeffs
         scores = 2 * np.einsum("ph,hs->ps", weighted, suffix)

@@ -26,6 +26,7 @@ from .errors import TooLargeError
 from .flows import PlacementTable
 from .model import ProblemInstance, enumeration_size
 from .objectives import ObjectiveKind
+from .relaxation import check_count
 
 DEFAULT_LIMIT = 100_000_000
 WORKER_CAP_ENV = "ATOMSCHED_MAX_WORKERS"
@@ -36,6 +37,9 @@ _MIN_PARALLEL_SIZE = 1 << 16
 
 @dataclass(frozen=True)
 class OracleResult:
+    """``evaluations`` counts the joint schedules covered: each one was
+    scored or proved no better than the result."""
+
     schedule: tuple[int, ...]
     objective_value: float
     evaluations: int
@@ -68,14 +72,17 @@ def brute_force(
     limit: int = DEFAULT_LIMIT,
     workers: int | None = None,
 ) -> OracleResult:
-    """Evaluate the objective at every feasible schedule and return the best.
+    """The best of every feasible schedule under the objective: each one is
+    scored, or, for PAR, proved no better than a lower-index schedule.
 
     Refuses instances whose joint start space exceeds ``limit`` evaluations
-    (TooLargeError reports the exact size) and objectives that are not an
-    ``ObjectiveKind`` (ValueError).
+    (TooLargeError reports the exact size), a ``limit`` that is not an
+    integer >= 1 and objectives that are not an ``ObjectiveKind``
+    (ValueError).
     """
     if not isinstance(objective, ObjectiveKind):
         raise ValueError(f"unknown objective {objective!r}")
+    check_count("limit", limit)
     total = enumeration_size(instance)
     if total > limit:
         raise TooLargeError(total, limit)

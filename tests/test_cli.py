@@ -79,6 +79,13 @@ def test_enumerate_rejects_bad_worker_count(tmp_path, capsys):
     assert "workers must be >= 1, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_enumerate_rejects_bad_limit(limit, tmp_path, capsys):
+    path = write_instance(tmp_path, [a.catalog_appliance("dish_washer")])
+    assert main(["enumerate", path, "--limit", limit]) == 1
+    assert f"limit must be an integer >= 1, got {limit}" in capsys.readouterr().err
+
+
 def test_gen_has_no_horizon_option(tmp_path, capsys):
     out = str(tmp_path / "gen.json")
     with pytest.raises(SystemExit) as info:

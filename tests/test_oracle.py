@@ -189,6 +189,51 @@ def test_numpy_kernel_matches_sequential_kernel(objective, monkeypatch):
                 assert scan_range_sequential(lo, hi, *args) == expected, (cap, block_cap, inst, lo, hi)
 
 
+def tied_instances(count):
+    """Small H = 8 instances of 2-4 users whose levels come from {0.5, 1,
+    1.5}, so many schedules tie on their peak; every third instance has its
+    levels scaled by uniform(0.8, 1.2), so near-ties differ in their last
+    bits."""
+    rng = np.random.default_rng(7)
+    for k in range(count):
+        users = []
+        for n in range(rng.integers(2, 5)):
+            duration = int(rng.integers(1, 4))
+            start = int(rng.integers(0, 8))
+            span = int(rng.integers(max(duration, 2), 9))
+            levels = rng.choice([0.5, 1.0, 1.5], duration)
+            if k % 3 == 2:
+                levels = levels * rng.uniform(0.8, 1.2, duration)
+            users.append(a.Appliance(f"u{n}", start, start + span - 1, duration, tuple(levels)))
+        yield a.ProblemInstance(8, users, (1.0,) * 8)
+
+
+def test_pruned_par_scan_matches_sequential_kernel(monkeypatch):
+    """The PAR scan, which skips prefix rows whose peak bound cannot beat
+    the range's best, against the plain-Python reference that scores every
+    schedule: under each of GEOMETRIES, on the whole range and on ranges
+    that start and end inside a prefix row or a block. Any slack in the
+    bound, or an incumbent replaced on a tie, moves a value or an index."""
+    for inst in tied_instances(200):
+        table = a.PlacementTable(inst)
+        total = a.enumeration_size(inst)
+        expected = {}
+        for cap, block_cap in GEOMETRIES:
+            set_geometry(monkeypatch, cap, block_cap)
+            _, size = _kernels._split_point(table.radices)
+            block = size * max(1, block_cap // size)
+            ranges = [
+                (0, total),
+                (size // 2, total - size // 3),
+                (block // 2, min(total, 2 * block + block // 3)),
+            ]
+            for lo, hi in ranges:
+                if (lo, hi) not in expected:
+                    expected[lo, hi] = scan_range_sequential(lo, hi, table, PAR)
+                got = _kernels.scan_range(lo, hi, table, PAR)
+                assert got == expected[lo, hi], (cap, block_cap, inst, lo, hi)
+
+
 def test_small_block_cap_reaches_every_scan_path(monkeypatch):
     """With suffix cap and block size at SMALL_BLOCK, the kernel instances
     take the one scan path with an empty prefix, with a last user whose
@@ -359,6 +404,12 @@ def test_too_large_reports_exact_size(two_tier_coefficients):
         a.brute_force(inst, COST)
     assert info.value.size == 24**100
     assert str(24**100) in str(info.value)
+
+
+@pytest.mark.parametrize("limit", [0, -5, "100", True, 2.0])
+def test_limit_must_be_a_positive_integer(limit, dish_washer_instance):
+    with pytest.raises(ValueError, match=f"limit must be an integer >= 1, got {re.escape(repr(limit))}"):
+        a.brute_force(dish_washer_instance, COST, limit=limit)
 
 
 def test_limit_boundary(dish_washer_instance):

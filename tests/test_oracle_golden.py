@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 import atomsched as a
+from atomsched import _kernels
 from test_oracle import kernel_instances
 
 GOLDEN = pathlib.Path(__file__).with_name("data") / "oracle_golden.json"
@@ -33,8 +34,8 @@ def instances():
     return cases
 
 
-def run(instance, objective):
-    result = a.brute_force(instance, a.ObjectiveKind(objective))
+def run(instance, objective, workers=None):
+    result = a.brute_force(instance, a.ObjectiveKind(objective), workers=workers)
     return {
         "objective_value": float.hex(result.objective_value),
         "schedule": list(result.schedule),
@@ -53,6 +54,26 @@ def test_oracle_matches_golden_run(case, objective):
     got = run(instances()[case], objective)
     for key in ("objective_value", "schedule", "evaluations"):
         assert got[key] == expected[key], key
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["worst5", "gen-6-3"])
+def test_pruned_par_scan_matches_golden_run(case, workers, monkeypatch):
+    """The PAR scan scores under a tenth of the prefix rows it covers and
+    still gives the golden result, so a scan that stops pruning fails."""
+    block_peaks, scored = _kernels._block_peaks, []
+
+    def counting_block_peaks(prefix, suffix_rows):
+        scored.append(len(prefix))
+        return block_peaks(prefix, suffix_rows)
+
+    monkeypatch.setattr(_kernels, "_block_peaks", counting_block_peaks)
+    instance = instances()[case]
+    got, expected = run(instance, "par", workers), _expected()[(case, "par")]
+    for key in ("objective_value", "schedule", "evaluations"):
+        assert got[key] == expected[key], key
+    _, size = _kernels._split_point(a.PlacementTable(instance).radices)
+    assert 0 < 10 * sum(scored) < got["evaluations"] // size
 
 
 if __name__ == "__main__":
