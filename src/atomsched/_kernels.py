@@ -14,26 +14,26 @@ added in user order.
 
 The scan is split over blocks that pair a few schedules of the first users
 (the prefix, possibly empty) with every schedule of the last users (the
-suffix, never empty). PAR scores a block's prefix rows exactly, except rows
-whose peak bound cannot beat the range's best so far; cost is scored from
-prefix and suffix tables, and the pairs rounding may put at the minimum are
-re-scored from their loads, summed in user order, by
-``objectives.score_loads``, the scorer SCR uses too.
+suffix, never empty). A block scores only its prefix rows whose bound may
+beat the range's best: PAR exactly, cost from per-user cross terms, and
+the pairs rounding may put at the minimum are re-scored from their loads,
+summed in user order, by ``objectives.score_loads``, SCR's scorer too.
 
-The PAR bound needs no slack: row entries are >= 0 and adding a
-nonnegative float never lowers a rounded sum, so a schedule's peak is at
-least its prefix's peak and each suffix user's lowest row peak, and
-``H * peak / E`` is monotone in the peak. A row is skipped only when its
-bound is >= the best value at a lower index of the same range, so the
-first-index rule and worker-count independence hold.
+Neither bound needs slack: row entries are >= 0 and adding a nonnegative
+float never lowers a rounded sum, so a schedule's peak is at least its
+prefix's peak and each suffix user's lowest row peak, and a cost score is
+at least the prefix's cost plus the suffix's lowest. A row is skipped only
+when none of its values can beat, or for cost come within the candidate
+cut of, the best at a lower index of the same range, so the first-index
+rule and worker-count independence hold.
 
-Two constants size the split. ``_SUFFIX_CAP`` bounds the suffix, whose
-loads the cost path keeps, H floats per schedule, for the whole scan.
-``_BLOCK`` bounds a block, which takes as many consecutive prefix rows as
-fit. Blocks are larger than the suffix because a block's numpy passes run
-over rows that grow with its prefix rows, and passes over rows shorter than
-a few thousand elements cost several times more per element than passes
-over longer ones; a larger suffix would instead grow the cost path's table.
+``_SUFFIX_CAP`` bounds the suffix, a block's row width; the cost path keeps
+one float per suffix schedule. ``_BLOCK`` bounds a block, which takes as
+many consecutive prefix rows as fit. Blocks are larger than the suffix as
+a block's numpy passes run over rows that grow with its prefix rows, and
+passes over rows shorter than a few thousand elements cost several times
+more per element than passes over longer ones; a larger suffix would
+instead widen the rows the bounds skip.
 
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
 terms of every slot are added in user order however the blocks fall, so a
@@ -103,9 +103,18 @@ def _block_peaks(prefix, suffix_rows):
     return peaks.reshape(*[len(r) for r in suffix_rows[::-1]], len(prefix)).transpose().ravel()
 
 
-def _first_min(best, index, vals):
-    k = int(np.argmin(vals))
-    return (float(vals[k]), int(index[k])) if vals[k] < best[0] else best
+def _block_costs(prefix, prefix_cost, suffix_weights, suffix_cost):
+    """Cost score of each (prefix row, suffix schedule) pair, in index order:
+    the prefix's and suffix's own costs plus ``2 a . (P * S)``, which is one
+    ``P @ (2 a * rows_j.T)`` term per suffix user j, outer-added from the
+    last user back so that the long axis stays innermost."""
+    # numpy's own loops: BLAS would wake its thread pool for each small block
+    cross = [np.einsum("ph,hk->pk", prefix, weights) for weights in suffix_weights]
+    cross[0] += prefix_cost[:, None]
+    scores = cross[-1]
+    for terms in cross[-2::-1]:
+        scores = np.add(terms[:, :, None], scores[:, None, :]).reshape(len(prefix), -1)
+    return np.add(scores, suffix_cost, out=scores)
 
 
 def scan_range(
@@ -123,18 +132,22 @@ def scan_range(
         return np.inf, -1
     best = (np.inf, -1)
     user_rows, coeffs = table.user_rows(), table.coefficients
-    horizon = len(coeffs)
+    horizon, energy = len(coeffs), table.total_energy
     m, size = _split_point(table.radices)
-    if objective is ObjectiveKind.COST:
-        suffix = _loads(np.arange(size), user_rows[m:], horizon)
-        suffix = np.ascontiguousarray(suffix.T)  # slot-major
-        # einsum runs numpy's own loops: BLAS would wake its thread pool for
-        # every small block, which costs more than the product
-        suffix_cost = np.einsum("h,hs,hs->s", coeffs, suffix, suffix)
-        # scores and canonical values sum nonnegative terms with at most K
-        # roundings on any path, so each is within gamma_K of the exact cost,
-        # and a pair scoring over (1 + 4 gamma_K) times another's cannot have
-        # the lower canonical value; 8 gamma_K also covers rounding the cut
+    cost = objective is ObjectiveKind.COST
+    if cost:
+        suffix = np.zeros((1, horizon))
+        for rows in user_rows[m:]:
+            suffix = (suffix[:, None] + rows).reshape(-1, horizon)
+        suffix_cost = np.einsum("h,sh,sh->s", coeffs, suffix, suffix)
+        del suffix
+        floor = suffix_cost.min()
+        suffix_weights = [2 * coeffs[:, None] * rows.T for rows in user_rows[m:]]
+        # each term of a score or canonical value is rounded at most 2K + H + 2
+        # times (K users: K in load sums, two multiplies, H - 1 in the slot sum,
+        # K adding users' terms, one the suffix's cost), so a pair scoring over
+        # (1 + 4 gamma) times another's cannot have the lower canonical value;
+        # 8 gamma also covers rounding the cut
         unit = (2 * len(user_rows) + horizon + 8) * np.finfo(float).eps / 2
         cut_factor = 1 + 8 * unit / (1 - unit)
     else:
@@ -144,32 +157,33 @@ def scan_range(
     q_end = (hi - 1) // size + 1
     for q0 in range(lo // size, q_end, rows):
         prefix = _loads(np.arange(q0, min(q0 + rows, q_end)), user_rows[:m], horizon)
-        base = q0 * size
-        first = max(lo - base, 0)
-        if objective is not ObjectiveKind.COST:
-            # the same expression as the value, so bound <= value holds exactly
-            bound = (horizon * np.maximum(prefix.max(axis=1), floor)) / table.total_energy
-            keep = np.flatnonzero(bound < best[0])
-            if not len(keep):
-                continue
-            peaks = _block_peaks(prefix[keep], user_rows[m:]).reshape(len(keep), size)
-            # only the range's first and last prefix rows reach past lo..hi-1
-            peaks[0, : max(first - keep[0] * size, 0)] = np.inf
-            peaks[-1, hi - base - keep[-1] * size :] = np.inf
-            vals = (horizon * peaks.ravel()) / table.total_energy
-            k = int(np.argmin(vals))
-            if vals[k] < best[0]:
-                best = (float(vals[k]), base + int(keep[k // size]) * size + k % size)
+        # a row's bound is <= each of its values as computed (PAR: the same expression)
+        if cost:
+            prefix_cost = np.einsum("h,ph,ph->p", coeffs, prefix, prefix)
+            keep = np.flatnonzero(prefix_cost + floor <= best[0] * cut_factor)
+        else:
+            keep = np.flatnonzero((horizon * np.maximum(prefix.max(1), floor)) / energy < best[0])
+        if not len(keep):
             continue
-        weighted = prefix * coeffs
-        scores = 2 * np.einsum("ph,hs->ps", weighted, suffix)
-        scores += np.einsum("ph,ph->p", weighted, prefix)[:, None]
-        scores += suffix_cost
-        scores = scores.ravel()[first : hi - base]
-        index = base + first + np.flatnonzero(scores <= min(scores.min(), best[0]) * cut_factor)
-        if len(index):
-            loads = _loads(index, user_rows, horizon)
-            best = _first_min(best, index, score_loads(objective, loads, coeffs, None))
+        if cost:
+            vals = _block_costs(prefix[keep], prefix_cost[keep], suffix_weights, suffix_cost)
+        else:
+            vals = (horizon * _block_peaks(prefix[keep], user_rows[m:])) / energy
+        # only the range's first and last prefix rows reach past lo..hi-1
+        starts = (q0 + keep) * size
+        vals = vals.reshape(len(keep), size)
+        vals[0, : max(lo - starts[0], 0)] = np.inf
+        vals[-1, hi - starts[-1] :] = np.inf
+        vals = vals.ravel()
+        # PAR's values are canonical, so its first minimum is its one candidate
+        low = np.argmin(vals, keepdims=True)
+        sel = np.flatnonzero(vals <= min(vals[low[0]], best[0]) * cut_factor) if cost else low
+        if len(sel):
+            index = starts[sel // size] + sel % size
+            canonical = score_loads(objective, _loads(index, user_rows, horizon), coeffs, energy)
+            k = int(np.argmin(canonical))
+            if canonical[k] < best[0]:
+                best = (float(canonical[k]), int(index[k]))
     return best
 
 

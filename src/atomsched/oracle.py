@@ -38,7 +38,7 @@ _MIN_PARALLEL_SIZE = 1 << 16
 @dataclass(frozen=True)
 class OracleResult:
     """``evaluations`` counts the joint schedules covered: each one was
-    scored or proved no better than the result."""
+    scored, or skipped with a prefix row whose bound proved it no better."""
 
     schedule: tuple[int, ...]
     objective_value: float
@@ -73,7 +73,8 @@ def brute_force(
     workers: int | None = None,
 ) -> OracleResult:
     """The best of every feasible schedule under the objective: each one is
-    scored, or, for PAR, proved no better than a lower-index schedule.
+    scored, or skipped with a prefix row (under either objective) whose
+    bound proves it no better than a lower-index schedule.
 
     Refuses instances whose joint start space exceeds ``limit`` evaluations
     (TooLargeError reports the exact size), a ``limit`` that is not an

@@ -208,12 +208,17 @@ def tied_instances(count):
         yield a.ProblemInstance(8, users, (1.0,) * 8)
 
 
-def test_pruned_par_scan_matches_sequential_kernel(monkeypatch):
-    """The PAR scan, which skips prefix rows whose peak bound cannot beat
-    the range's best, against the plain-Python reference that scores every
-    schedule: under each of GEOMETRIES, on the whole range and on ranges
-    that start and end inside a prefix row or a block. Any slack in the
-    bound, or an incumbent replaced on a tie, moves a value or an index."""
+@pytest.mark.parametrize("objective", [COST, PAR], ids=["cost", "par"])
+def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
+    """The scan, which skips prefix rows whose bound cannot beat the range's
+    best (for cost, cannot make the candidate cut), against the plain-Python
+    reference that scores every schedule: under each of GEOMETRIES, on the
+    whole range and on ranges that start and end inside a prefix row or a
+    block. For PAR, any slack in the bound, or an incumbent replaced on a
+    tie, moves a value or an index; for cost, the separable block scores,
+    the cut and the skip meet exact ties and near-ties that differ in their
+    last bits, and the re-scored candidates must still hold the first
+    canonical minimum."""
     for inst in tied_instances(200):
         table = a.PlacementTable(inst)
         total = a.enumeration_size(inst)
@@ -229,8 +234,8 @@ def test_pruned_par_scan_matches_sequential_kernel(monkeypatch):
             ]
             for lo, hi in ranges:
                 if (lo, hi) not in expected:
-                    expected[lo, hi] = scan_range_sequential(lo, hi, table, PAR)
-                got = _kernels.scan_range(lo, hi, table, PAR)
+                    expected[lo, hi] = scan_range_sequential(lo, hi, table, objective)
+                got = _kernels.scan_range(lo, hi, table, objective)
                 assert got == expected[lo, hi], (cap, block_cap, inst, lo, hi)
 
 

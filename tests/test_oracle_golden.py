@@ -56,24 +56,44 @@ def test_oracle_matches_golden_run(case, objective):
         assert got[key] == expected[key], key
 
 
+def scored_rows(monkeypatch, scorer, case, objective, workers):
+    """Run ``case`` through ``brute_force`` counting the prefix rows the
+    block scorer ``scorer`` of ``_kernels`` is given, check the golden
+    result, and return the rows scored and the prefix rows covered."""
+    score, scored = getattr(_kernels, scorer), []
+
+    def counting(prefix, *args):
+        scored.append(len(prefix))
+        return score(prefix, *args)
+
+    monkeypatch.setattr(_kernels, scorer, counting)
+    instance = instances()[case]
+    got, expected = run(instance, objective, workers), _expected()[(case, objective)]
+    for key in ("objective_value", "schedule", "evaluations"):
+        assert got[key] == expected[key], key
+    _, size = _kernels._split_point(a.PlacementTable(instance).radices)
+    return sum(scored), got["evaluations"] // size
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", ["worst5", "gen-6-3"])
 def test_pruned_par_scan_matches_golden_run(case, workers, monkeypatch):
     """The PAR scan scores under a tenth of the prefix rows it covers and
     still gives the golden result, so a scan that stops pruning fails."""
-    block_peaks, scored = _kernels._block_peaks, []
+    scored, covered = scored_rows(monkeypatch, "_block_peaks", case, "par", workers)
+    assert 0 < 10 * scored < covered
 
-    def counting_block_peaks(prefix, suffix_rows):
-        scored.append(len(prefix))
-        return block_peaks(prefix, suffix_rows)
 
-    monkeypatch.setattr(_kernels, "_block_peaks", counting_block_peaks)
-    instance = instances()[case]
-    got, expected = run(instance, "par", workers), _expected()[(case, "par")]
-    for key in ("objective_value", "schedule", "evaluations"):
-        assert got[key] == expected[key], key
-    _, size = _kernels._split_point(a.PlacementTable(instance).radices)
-    assert 0 < 10 * sum(scored) < got["evaluations"] // size
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["worst5", "gen-6-3"])
+def test_pruned_cost_scan_matches_golden_run(case, workers, monkeypatch):
+    """The cost scan skips prefix rows (on worst5, over 40% of those it
+    covers; 254 of 529 are scored at one worker) and still gives the golden
+    result, so a scan that stops skipping rows fails."""
+    scored, covered = scored_rows(monkeypatch, "_block_costs", case, "cost", workers)
+    assert 0 < scored < covered
+    if case == "worst5":
+        assert 10 * scored < 6 * covered
 
 
 if __name__ == "__main__":
