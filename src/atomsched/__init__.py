@@ -12,7 +12,6 @@ from .errors import (
     AtomschedError,
     InfeasibleFlowError,
     InvalidInstanceError,
-    IterationLimitError,
     NotIntegralError,
     ParseError,
     SolverError,
@@ -61,8 +60,6 @@ from .relaxation import (
     SolverSettings,
     par_ratio_from_peak,
     solve_relaxed,
-    solve_relaxed_cost,
-    solve_relaxed_par,
 )
 from .scr import (
     IterationRecord,

@@ -64,13 +64,11 @@ _BLOCK = 1 << 17
 def _loads(index, user_rows, horizon):
     """Load profiles of the schedules at ``index`` over the users whose
     rows are ``user_rows``, summed in user order."""
-    digits, rem = [], np.asarray(index, dtype=np.int64)
-    for rows in user_rows[::-1]:
-        digits.append(rem % len(rows))
-        rem = rem // len(rows)
-    loads = np.zeros((len(rem), horizon))
-    for rows, digit in zip(user_rows, reversed(digits)):
-        loads += rows[digit]
+    loads = np.zeros((len(index), horizon))
+    if user_rows:  # unravel_index rejects an empty shape
+        digits = np.unravel_index(index, [len(rows) for rows in user_rows])
+        for rows, digit in zip(user_rows, digits):
+            loads += rows[digit]
     return loads
 
 

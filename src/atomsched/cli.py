@@ -15,15 +15,11 @@ import json
 import sys
 import time
 
-from .errors import (
-    AtomschedError,
-    IterationLimitError,
-    SolverError,
-    TooLargeError,
-)
+from .errors import AtomschedError, SolverError, TooLargeError
 from .iofmt import (
     format_number,
     read_instance_file,
+    render_row,
     results_to_csv,
     results_to_json,
     write_instance_file,
@@ -32,7 +28,7 @@ from .iofmt import (
 from .catalog import generate_instance
 from .model import ProblemInstance
 from .objectives import ObjectiveKind
-from .oracle import brute_force
+from .oracle import DEFAULT_LIMIT, brute_force
 from .scr import SCRConfig, scr_sweep, successive_convex_relaxation, zero_wall_ms
 
 
@@ -95,44 +91,19 @@ def _cmd_solve(args) -> int:
         print(f"iterations: {result.iterations}")
         print("schedule:")
         print("\n".join(_schedule_lines(instance, result.schedule)))
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "objective": objective.value,
-                    "lb": float(format_number(result.lower_bound)),
-                    "ub": float(format_number(result.upper_bound)),
-                    "gap": float(format_number(gap)),
-                    "iterations": result.iterations,
-                    "wall_ms": float(format_number(wall_ms)),
-                    "schedule": [
-                        {
-                            "name": a.name,
-                            "start": s,
-                            "clock": clock_range(s, a.duration, instance.horizon),
-                        }
-                        for a, s in zip(instance.appliances, result.schedule)
-                    ],
-                },
-                indent=2,
-            )
-        )
+        return 0
+    row = {"objective": objective.value, "lb": result.lower_bound, "ub": result.upper_bound,
+           "gap": gap, "iterations": result.iterations, "wall_ms": wall_ms}
+    if args.format == "json":
+        row["schedule"] = [
+            {"name": a.name, "start": s, "clock": clock_range(s, a.duration, instance.horizon)}
+            for a, s in zip(instance.appliances, result.schedule)
+        ]
+        print(json.dumps(render_row(row, "json"), indent=2))
     else:  # csv
-        print("objective,lb,ub,gap,iterations,wall_ms,schedule")
-        schedule_text = "|".join(str(s) for s in result.schedule)
-        print(
-            ",".join(
-                (
-                    objective.value,
-                    format_number(result.lower_bound),
-                    format_number(result.upper_bound),
-                    format_number(gap),
-                    str(result.iterations),
-                    format_number(wall_ms),
-                    schedule_text,
-                )
-            )
-        )
+        row["schedule"] = "|".join(map(str, result.schedule))
+        print(",".join(row))
+        print(render_row(row, "csv"))
     return 0
 
 
@@ -183,24 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="bounds and schedule via successive relaxation")
     solve.add_argument("instance", help="instance document path")
     solve.add_argument("--objective", choices=["cost", "par"], default="cost")
-    solve.add_argument(
-        "--theta-d", type=float, default=0.1, help="drop threshold (default 0.1)"
-    )
-    solve.add_argument(
-        "--n-d", type=int, default=1, help="max drops per round (default 1)"
-    )
+    solve.add_argument("--theta-d", type=float, default=SCRConfig.drop_threshold,
+                       help="drop threshold (default %(default)s)")
+    solve.add_argument("--n-d", type=int, default=SCRConfig.max_drops_per_iteration,
+                       help="max drops per round (default %(default)s)")
     solve.add_argument("--format", choices=["text", "json", "csv"], default="text")
     solve.set_defaults(func=_cmd_solve)
 
     enum = sub.add_parser("enumerate", help="exact optimum by direct enumeration")
     enum.add_argument("instance", help="instance document path")
     enum.add_argument("--objective", choices=["cost", "par"], default="cost")
-    enum.add_argument(
-        "--limit",
-        type=int,
-        default=100_000_000,
-        help="refuse instances needing more evaluations (default 1e8)",
-    )
+    enum.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
+                      help="refuse instances needing more evaluations (default %(default)s)")
     enum.add_argument("--workers", type=int, default=None)
     enum.set_defaults(func=_cmd_enumerate)
 
@@ -215,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--n-d-list", required=True, help="e.g. 1,5")
     bench.add_argument("--seeds", required=True, help="e.g. 1..20")
     bench.add_argument("--objective", choices=["cost", "par"], default="cost")
-    bench.add_argument("--theta-d", type=float, default=0.1)
+    bench.add_argument("--theta-d", type=float, default=SCRConfig.drop_threshold)
     bench.add_argument("--out", default=None, help="output path (stdout if omitted)")
     bench.add_argument("--format", choices=["csv", "json"], default="csv")
     bench.add_argument(
@@ -235,7 +200,7 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(f"atomsched: {exc}", file=sys.stderr)
         return 3
-    except (SolverError, IterationLimitError) as exc:
+    except SolverError as exc:
         print(f"atomsched: {exc}", file=sys.stderr)
         return 2
     except (AtomschedError, ValueError, OSError) as exc:

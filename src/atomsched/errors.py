@@ -41,8 +41,5 @@ class TooLargeError(AtomschedError):
 
 
 class SolverError(AtomschedError):
-    """The relaxed-problem solver failed to reach the requested accuracy."""
-
-
-class IterationLimitError(AtomschedError):
-    """The dropping loop hit its iteration cap without finding a 0/1 solution."""
+    """The relaxed-problem solver failed to reach the requested accuracy, or
+    an SCR round was fractional with nothing left to drop."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import astuple
 from typing import Sequence
 
 from .catalog import CATALOG_HORIZON, catalog_appliance
@@ -38,6 +39,8 @@ from .scr import SweepRow
 INSTANCE_FORMAT_VERSION = 1
 
 RESULTS_CSV_HEADER = "n,n_d,seed,objective,lb,ub,gap,iterations,wall_ms"
+#: result fields written to 12 significant digits
+_MEASURED = {"lb", "ub", "gap", "wall_ms"}
 
 _APPLIANCE_KEYS = {
     "catalog",
@@ -53,6 +56,19 @@ _TOP_KEYS = {"version", "horizon", "cost_coefficients", "appliances"}
 
 def format_number(value: float) -> str:
     return f"{value:.12g}"
+
+
+def render_row(fields: dict, fmt: str) -> str | dict:
+    """One result row: the measured fields to 12 significant digits, then the
+    CSV line for ``fmt == "csv"``, else a dict of JSON values."""
+    if fmt == "csv":
+        return ",".join(format_number(v) if k in _MEASURED else str(v) for k, v in fields.items())
+    return {k: float(format_number(v)) if k in _MEASURED else v for k, v in fields.items()}
+
+
+def _sweep_fields(row: SweepRow) -> dict:
+    # SweepRow's fields are in the header's order
+    return dict(zip(RESULTS_CSV_HEADER.split(","), astuple(row)))
 
 
 def _require_keys(obj: dict, allowed: set, location: str) -> None:
@@ -244,41 +260,12 @@ def write_instance_file(instance: ProblemInstance, path: str) -> None:
 
 
 def results_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [RESULTS_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.n),
-                    str(r.n_d),
-                    str(r.seed),
-                    r.objective,
-                    format_number(r.lower_bound),
-                    format_number(r.upper_bound),
-                    format_number(r.gap),
-                    str(r.iterations),
-                    format_number(r.wall_ms),
-                )
-            )
-        )
+    lines = [RESULTS_CSV_HEADER] + [render_row(_sweep_fields(r), "csv") for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def results_to_json(rows: Sequence[SweepRow]) -> str:
-    payload = [
-        {
-            "n": r.n,
-            "n_d": r.n_d,
-            "seed": r.seed,
-            "objective": r.objective,
-            "lb": float(format_number(r.lower_bound)),
-            "ub": float(format_number(r.upper_bound)),
-            "gap": float(format_number(r.gap)),
-            "iterations": r.iterations,
-            "wall_ms": float(format_number(r.wall_ms)),
-        }
-        for r in rows
-    ]
+    payload = [render_row(_sweep_fields(r), "json") for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -2,7 +2,7 @@
 
 Solves   minimize    sum_k w_k * (G x)_k^2  +  c . x
          subject to  sum_{j in group n} x_j = 1   for every simplex group n,
-                     C x = d,   x >= 0
+                     C x = 0,   x >= 0
 
 with Mehrotra predictor-corrector steps. The groups are contiguous column
 runs from column 0 (one per user in the flow layout); later columns are in
@@ -78,7 +78,6 @@ def solve_standard_form(
     linear: np.ndarray | None,
     group_sizes,
     coupling: np.ndarray | None,
-    coupling_rhs: np.ndarray | None,
     x0: np.ndarray,
     tolerance: float = 1e-8,
     max_iterations: int = 200,
@@ -88,9 +87,9 @@ def solve_standard_form(
     quad_factor (K, M) and quad_weights (K,) define the quadratic term; pass
     None for a pure LP. Rows whose weight is zero, or so small that its
     inverse overflows, are discarded. ``group_sizes`` lists the column count
-    of each simplex group, in column order from column 0; ``coupling`` and
-    ``coupling_rhs`` are the dense rows C and d, or None. ``x0`` must be
-    strictly positive and should roughly satisfy the equalities.
+    of each simplex group, in column order from column 0; ``coupling`` holds
+    the dense rows C, or is None. ``x0`` must be strictly positive and
+    should roughly satisfy the equalities.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.min() <= 0.0:
@@ -110,7 +109,6 @@ def solve_standard_form(
         G, w = np.asarray(quad_factor, dtype=np.float64)[keep], weights[keep]
     n_quad, half_inv_w = len(w), 0.5 / w
     C = np.zeros((0, n_var)) if coupling is None else np.asarray(coupling, dtype=np.float64)
-    d = np.zeros(len(C)) if coupling is None else np.asarray(coupling_rhs, dtype=np.float64)
     F = np.vstack([G, C])
     f_tilde = F.copy()  # columns in no group are never centred
     c = np.zeros(n_var) if linear is None else np.asarray(linear, dtype=np.float64)
@@ -126,16 +124,16 @@ def solve_standard_form(
             gx = G @ x
             obj += float(w @ (gx * gx))
             gradient_x = 2.0 * (G.T @ (w * gx)) + c
-        r_d = gradient_x - C.T @ y_c - z if len(d) else gradient_x - z
+        r_d = gradient_x - C.T @ y_c - z if len(C) else gradient_x - z
         r_d[:grouped] -= y_e.repeat(sizes)
-        return obj, gradient_x, r_d, group_sums(x) - 1.0, (C @ x - d if len(d) else d)
+        return obj, gradient_x, r_d, group_sums(x) - 1.0, C @ x
 
     y_e = np.zeros(len(sizes))
-    y_c = np.zeros(len(d))
+    y_c = np.zeros(len(C))
     z = np.ones(n_var)
 
-    # 1 + the largest right-hand side: 1 for every simplex row, then d
-    b_scale = 1.0 + float(np.abs(d).max(initial=1.0 if len(sizes) else 0.0))
+    # 1 + the largest right-hand side: 1 for a simplex row, 0 for a coupling row
+    b_scale = 2.0 if len(sizes) else 1.0
     status = "iteration_limit"
     iterations = 0
 

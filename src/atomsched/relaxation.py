@@ -96,7 +96,7 @@ def solve_relaxed(
     x0 = 1.0 / per_user[users]
     if objective is ObjectiveKind.COST:
         problem = dict(quad_factor=loads_of, quad_weights=weights,
-                       linear=None, coupling=None, coupling_rhs=None)
+                       linear=None, coupling=None)
     else:
         # variables: [flows (m), peak (1), slacks (horizon)]; the load rows
         # loads - peak + slack = 0 couple them, the flows alone form the groups
@@ -109,7 +109,7 @@ def solve_relaxed(
         coupling[:, :m], coupling[:, m] = loads_of, -1.0
         np.fill_diagonal(coupling[:, m + 1:], 1.0)
         problem = dict(quad_factor=None, quad_weights=None, linear=linear,
-                       coupling=coupling, coupling_rhs=np.zeros(horizon))
+                       coupling=coupling)
     result = solve_standard_form(**problem, group_sizes=per_user, x0=x0,
                                  tolerance=settings.tolerance,
                                  max_iterations=settings.max_solver_iterations)
@@ -133,25 +133,6 @@ def solve_relaxed(
         raise SolverError(f"solver returned infeasible flows: {exc}") from exc
     flows.setflags(write=False)
     return RelaxedSolution(flows=flows, objective_value=value, iterations=result.iterations)
-
-
-def solve_relaxed_cost(
-    instance: ProblemInstance,
-    dropped: Collection[tuple[int, int]] = (),
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> RelaxedSolution:
-    """Minimize the quadratic energy cost over the relaxed flow polytope."""
-    return solve_relaxed(instance, ObjectiveKind.COST, dropped, settings)
-
-
-def solve_relaxed_par(
-    instance: ProblemInstance,
-    dropped: Collection[tuple[int, int]] = (),
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> RelaxedSolution:
-    """Minimize the peak slot load over the relaxed flow polytope; the
-    objective value is the peak (kWh), see :func:`par_ratio_from_peak`."""
-    return solve_relaxed(instance, ObjectiveKind.PAR, dropped, settings)
 
 
 def par_ratio_from_peak(instance: ProblemInstance, peak: float) -> float:

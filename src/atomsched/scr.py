@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IterationLimitError, SolverError
+from .errors import SolverError
 from .flows import INTEGRAL_TOL, PlacementTable, one_hot_rows
 from .model import ProblemInstance
 from .objectives import ObjectiveKind, score_loads
@@ -57,8 +57,6 @@ class SCRConfig:
     drop_threshold: float = 0.1
     #: max elements dropped per round, including the mandatory minimum
     max_drops_per_iteration: int = 1
-    #: defaults to the total start-set size, which the loop can never exceed
-    max_iterations: int | None = None
     #: deterministic single-start descent on the final schedule; fractional
     #: values rank load-flattening usefulness rather than standalone start
     #: quality, so the dropping endgame alone misses nearby better schedules
@@ -68,8 +66,6 @@ class SCRConfig:
         if not 0.0 < self.drop_threshold < 1.0:
             raise ValueError("drop_threshold must lie strictly between 0 and 1")
         check_count("max_drops_per_iteration", self.max_drops_per_iteration)
-        if self.max_iterations is not None:
-            check_count("max_iterations", self.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -168,9 +164,13 @@ def successive_convex_relaxation(
     config: SCRConfig = SCRConfig(),
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> SCRResult:
-    """Compute a Boolean schedule with matching lower/upper bounds."""
+    """Compute a Boolean schedule with matching lower/upper bounds.
+
+    A round that is not integral drops at least one live column, and
+    :func:`_select_drops` raises SolverError when none is droppable, so the
+    loop ends within m - N + 1 rounds (m flow columns, N users).
+    """
     table = PlacementTable(instance)
-    max_rounds = config.max_iterations or len(table.users)
     live = table.live(())  # _select_drops' mask of the undropped columns
 
     drop_history: list[tuple[int, int]] = []
@@ -181,7 +181,7 @@ def successive_convex_relaxation(
     # candidate, which cannot beat the incumbent it already competed with
     scored: set[tuple[int, ...]] = set()
 
-    for iteration in range(1, max_rounds + 1):
+    while True:
         solution = solve_relaxed(instance, objective, drop_history, settings, table=table)
         flows = solution.flows
 
@@ -207,24 +207,21 @@ def successive_convex_relaxation(
         dropped_now = () if integral else _select_drops(table, flows, live, config)
         live &= table.live(dropped_now)
         drop_history.extend(dropped_now)
-        trace.append(IterationRecord(iteration, solution.objective_value, dropped_now))
+        trace.append(IterationRecord(len(trace) + 1, solution.objective_value, dropped_now))
         if integral:
-            lower = trace[0].relaxed_objective  # the first round's relaxed optimum
-            if objective is ObjectiveKind.PAR:
-                lower = par_ratio_from_peak(instance, lower)
-            return SCRResult(
-                schedule=incumbent,
-                upper_bound=float(incumbent_value),
-                lower_bound=float(lower),
-                iterations=iteration,
-                trace=tuple(trace),
-                drop_history=tuple(drop_history),
-                objective=objective,
-            )
+            break
 
-    raise IterationLimitError(
-        f"no 0/1 solution after {max_rounds} rounds; "
-        f"{len(drop_history)} elements dropped"
+    lower = trace[0].relaxed_objective  # the first round's relaxed optimum
+    if objective is ObjectiveKind.PAR:
+        lower = par_ratio_from_peak(instance, lower)
+    return SCRResult(
+        schedule=incumbent,
+        upper_bound=float(incumbent_value),
+        lower_bound=float(lower),
+        iterations=len(trace),
+        trace=tuple(trace),
+        drop_history=tuple(drop_history),
+        objective=objective,
     )
 
 
@@ -246,7 +243,7 @@ def scr_sweep(
     n_d_values: Sequence[int],
     seeds: Sequence[int],
     objective: ObjectiveKind,
-    drop_threshold: float = 0.1,
+    drop_threshold: float = SCRConfig.drop_threshold,
 ) -> list[SweepRow]:
     """Bound-vs-size sweep over ``generate_instance`` draws from the default
     catalog, solved with the default solver settings.

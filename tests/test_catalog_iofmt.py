@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -172,6 +173,48 @@ def test_parse_rejections(mutate, message):
         a.parse_instance(json.dumps(doc))
 
 
+INLINE = {"name": "dw", "window_start": 0, "window_end": 23, "duration": 2, "level": 0.72}
+PATTERNED = {**{k: v for k, v in INLINE.items() if k != "level"}, "energy_pattern": 0.72}
+
+
+def _doc(**changes):
+    return {"version": 1, "horizon": 24, "appliances": [{"catalog": "dish_washer"}], **changes}
+
+
+@pytest.mark.parametrize(
+    "doc, location, message",
+    [
+        (_doc(cost_coefficients=[0.2] * 23 + ["0.3"]), "cost_coefficients", "expected a number"),
+        (_doc(cost_coefficients={"0-23": "x"}), "cost_coefficients['0-23']", "expected a number"),
+        (_doc(appliances=[dict(INLINE, duration=2.0)]), "appliances[0].duration",
+         "expected an integer"),
+        (_doc(cost_coefficients={"night": 0.2}), "cost_coefficients",
+         "tier key 'night' is not of the form 'lo-hi'"),
+        (_doc(cost_coefficients={"0-24": 0.2}), "cost_coefficients",
+         "tier '0-24' outside slots 0..23"),
+        (_doc(cost_coefficients=0.2), "cost_coefficients",
+         "must be a per-slot list or a tier mapping"),
+        (_doc(appliances=["dish_washer"]), "appliances[0]", "appliance entry must be an object"),
+        (_doc(appliances=[{"catalog": "toaster"}]), "appliances[0]",
+         "unknown catalog appliance 'toaster'"),
+        (_doc(appliances=[dict(INLINE, energy_pattern=[0.36, 0.36])]), "appliances[0]",
+         "give exactly one of 'level' or 'energy_pattern'"),
+        (_doc(appliances=[PATTERNED]), "appliances[0]", "energy_pattern must be a list"),
+        ([_doc()], "document", "document root must be an object"),
+        (_doc(horizon="24"), "horizon", "horizon must be an integer"),
+        (_doc(cost_coefficients=[-0.2] * 24), "document",
+         "cost coefficients must be finite and >= 0"),
+    ],
+    ids=["coefficient", "tier-value", "duration", "tier-key", "tier-span", "coefficients-type",
+         "appliance-type", "catalog-key", "level-and-pattern", "pattern-type", "root", "horizon",
+         "instance"],
+)
+def test_parse_error_locates_each_defect(doc, location, message):
+    with pytest.raises(ParseError, match=re.escape(f"{location}: {message}")) as info:
+        a.parse_instance(json.dumps(doc))
+    assert info.value.location == location
+
+
 @pytest.mark.parametrize("name", [["x"], 5, None])
 @pytest.mark.parametrize(
     "appliance",
@@ -219,8 +262,8 @@ def test_results_csv_layout():
     text = a.results_to_csv(_rows())
     lines = text.strip().split("\n")
     assert lines[0] == RESULTS_CSV_HEADER == "n,n_d,seed,objective,lb,ub,gap,iterations,wall_ms"
-    assert lines[1].startswith("2,1,1,cost,")
-    assert len(lines) == 3
+    assert lines[1:] == ["2,1,1,cost,0.123456789012,0.2,0.0765432109877,7,12.5",
+                         "3,5,2,par,1,4.8,3.8,11,0"]
 
 
 def test_results_csv_json_numeric_agreement():
@@ -234,6 +277,8 @@ def test_results_csv_json_numeric_agreement():
         assert float(parts[6]) == jrow["gap"]
         assert int(parts[7]) == jrow["iterations"]
         assert float(parts[8]) == jrow["wall_ms"]
+    assert json_rows[1] == {"n": 3, "n_d": 5, "seed": 2, "objective": "par", "lb": 1.0,
+                            "ub": 4.8, "gap": 3.8, "iterations": 11, "wall_ms": 0.0}
 
 
 def test_write_results_atomic(tmp_path):
@@ -241,6 +286,8 @@ def test_write_results_atomic(tmp_path):
     a.write_results(_rows(), path, fmt="csv")
     assert open(path).read() == a.results_to_csv(_rows())
     assert not os.path.exists(path + ".tmp")
+    a.write_results(_rows(), path, fmt="json")
+    assert open(path).read() == a.results_to_json(_rows())
     with pytest.raises(ValueError):
         a.write_results(_rows(), path, fmt="xml")
 

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import atomsched as a
+from atomsched import scr
 from atomsched.cli import clock_range, main
 
 
@@ -173,6 +175,28 @@ def test_invalid_instance_exit_code(tmp_path, capsys):
         handle.write('{"version": 1, "horizon": 24, "appliances": []}')
     assert main(["solve", path]) == 1
     assert "atomsched:" in capsys.readouterr().err
+
+
+def test_malformed_tier_key_exit_code(tmp_path, capsys):
+    path = str(tmp_path / "tiers.json")
+    with open(path, "w") as handle:
+        handle.write('{"version": 1, "horizon": 24, "cost_coefficients": {"night": 0.2}, '
+                     '"appliances": [{"catalog": "phev"}]}')
+    assert main(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cost_coefficients: tier key 'night' is not of the form 'lo-hi'" in captured.err
+
+
+def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    """A round whose flows are never one-hot runs SCR out of droppable
+    columns; the SolverError it raises maps to exit code 2."""
+    path = write_instance(tmp_path, [a.catalog_appliance("phev")])
+    monkeypatch.setattr(scr, "one_hot_rows", lambda flows: np.zeros(len(flows), dtype=bool))
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "atomsched: no droppable element" in captured.err
 
 
 def test_non_string_appliance_name_exit_code(tmp_path, capsys):

@@ -165,8 +165,18 @@ def test_placement_table_rejects_pairs_off_the_flow_columns():
     for starts in ((0, 3, 23), (0, 3, 21), (-1, 3, 6)):
         with pytest.raises(InfeasibleFlowError):
             table.schedule_loads(starts)
+    for starts in ((0, 3), (0, 3, 6, 9)):  # too few and too many starts
+        with pytest.raises(InfeasibleFlowError, match=f"{len(starts)} starts for 3 users"):
+            table.schedule_columns(starts)
     with pytest.raises(InvalidInstanceError, match=r"drop \(2, 21\)"):
         table.live([(0, 1), (2, 21), (1, 99)])
+
+
+def test_flows_to_schedule_rejects_one_hot_row_at_infeasible_start(dish_washer_instance):
+    flows = np.zeros((1, 24))
+    flows[0, 23] = 1.0  # one-hot, but the start set is 0..22
+    with pytest.raises(InfeasibleFlowError, match="integral flow sits at infeasible start 23"):
+        a.flows_to_schedule(dish_washer_instance, flows)
 
 
 MALFORMED_DROPS = ([(1, 2, 3)], [(1, 2), (3,)], [5])

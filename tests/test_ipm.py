@@ -186,16 +186,17 @@ def simplex_rows(group_sizes, n_var):
 
 
 def dense_step(
-    quad_factor, quad_weights, linear, group_sizes, coupling, coupling_rhs, x0,
+    quad_factor, quad_weights, linear, group_sizes, coupling, x0,
     tolerance=1e-8, max_iterations=200,
 ):
     """``solve_standard_form``'s structured input, solved by the dense
-    reference: the simplex rows, then the coupling rows, as one matrix."""
+    reference: the simplex rows (right-hand side 1), then the coupling rows
+    (right-hand side 0), as one matrix."""
     eq_matrix = simplex_rows(group_sizes, len(x0))
     eq_rhs = np.ones(len(eq_matrix))
     if coupling is not None:
         eq_matrix = np.vstack([eq_matrix, coupling])
-        eq_rhs = np.concatenate([eq_rhs, coupling_rhs])
+        eq_rhs = np.concatenate([eq_rhs, np.zeros(len(coupling))])
     return dense_solve_standard_form(
         quad_factor, quad_weights, linear, eq_matrix, eq_rhs, x0,
         tolerance, max_iterations,
@@ -210,7 +211,6 @@ def test_tiny_qp_known_solution():
         linear=None,
         group_sizes=[2],
         coupling=None,
-        coupling_rhs=None,
         x0=np.array([0.5, 0.5]),
     )
     assert result.status == "optimal"
@@ -226,7 +226,6 @@ def test_tiny_lp_known_solution():
         linear=np.array([1.0, 3.0]),
         group_sizes=[2],
         coupling=None,
-        coupling_rhs=None,
         x0=np.array([0.5, 0.5]),
     )
     assert result.status == "optimal"
@@ -241,7 +240,6 @@ def test_single_variable_rows_are_pinned():
         linear=None,
         group_sizes=[1, 2],
         coupling=None,
-        coupling_rhs=None,
         x0=np.array([1.0, 0.5, 0.5]),
     )
     assert result.status == "optimal"
@@ -252,7 +250,7 @@ def test_single_variable_rows_are_pinned():
 def test_rejects_nonpositive_start():
     with pytest.raises(ValueError):
         solve_standard_form(
-            None, None, np.ones(2), [2], None, None, np.array([0.0, 1.0])
+            None, None, np.ones(2), [2], None, np.array([0.0, 1.0])
         )
 
 
@@ -289,7 +287,7 @@ def _relaxed_cost_via_scipy(instance, dropped=frozenset()):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_relaxed_cost_matches_scipy(seed):
     inst = a.generate_instance(3, seed)
-    own = a.solve_relaxed_cost(inst).objective_value
+    own = a.solve_relaxed(inst, a.ObjectiveKind.COST).objective_value
     reference = _relaxed_cost_via_scipy(inst)
     assert own == pytest.approx(reference, rel=1e-6, abs=1e-8)
 
@@ -325,7 +323,7 @@ def _relaxed_peak_via_highs(instance, dropped=frozenset()):
 def test_relaxed_par_matches_highs(seed):
     pytest.importorskip("scipy")
     inst = a.generate_instance(4, seed)
-    own = a.solve_relaxed_par(inst).objective_value
+    own = a.solve_relaxed(inst, a.ObjectiveKind.PAR).objective_value
     highs = _relaxed_peak_via_highs(inst)
     assert own == pytest.approx(highs, rel=1e-7, abs=1e-8)
 
@@ -335,7 +333,7 @@ def test_relaxed_par_matches_highs_under_drops():
     inst = a.generate_instance(4, 9)
     sets_ = a.start_sets(inst)
     dropped = {(0, sets_[0][0]), (0, sets_[0][1]), (2, sets_[2][3])}
-    own = a.solve_relaxed_par(inst, dropped).objective_value
+    own = a.solve_relaxed(inst, a.ObjectiveKind.PAR, dropped).objective_value
     highs = _relaxed_peak_via_highs(inst, dropped)
     assert own == pytest.approx(highs, rel=1e-7, abs=1e-8)
 
@@ -405,7 +403,7 @@ def test_stalling_round_par_lp_matches_highs():
     # the dense step stalls on this LP and stops at a non-finite iterate
     pytest.importorskip("scipy")
     inst, dropped = stalling_par_instance(), stalling_round_drops()
-    own = a.solve_relaxed_par(inst, dropped).objective_value
+    own = a.solve_relaxed(inst, a.ObjectiveKind.PAR, dropped).objective_value
     highs = _relaxed_peak_via_highs(inst, set(dropped))
     assert own == pytest.approx(highs, rel=1e-7, abs=1e-8)
 
@@ -416,7 +414,7 @@ def test_relaxed_solve_stops_at_first_non_finite_iterate():
     # iterates grow until they overflow
     limit = a.SolverSettings().max_solver_iterations
     result = solve_standard_form(
-        None, None, np.array([0.0, -1.0]), [1], None, None, np.ones(2),
+        None, None, np.array([0.0, -1.0]), [1], None, np.ones(2),
         max_iterations=limit,
     )
     assert result.status == "numerical_failure"

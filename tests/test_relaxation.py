@@ -4,13 +4,16 @@ import pytest
 import atomsched as a
 from atomsched.errors import InvalidInstanceError
 
+COST = a.ObjectiveKind.COST
+PAR = a.ObjectiveKind.PAR
+
 
 def test_pinned_user_yields_one_hot(two_tier_coefficients):
     # duration equals the window, so there is exactly one feasible start
     appl = a.Appliance.constant("fixed", 4, 7, 4, 0.8)
     inst = a.ProblemInstance(24, [appl], two_tier_coefficients)
     assert a.feasible_starts(appl, 24) == (4,)
-    sol = a.solve_relaxed_cost(inst)
+    sol = a.solve_relaxed(inst, COST)
     assert sol.flows[0, 4] == pytest.approx(1.0, abs=1e-8)
     forced = a.energy_cost(
         a.load_profile_from_schedule(inst, (4,)), inst.cost_coefficients
@@ -21,7 +24,7 @@ def test_pinned_user_yields_one_hot(two_tier_coefficients):
 def test_relaxed_cost_is_lower_bound():
     for seed in (1, 2, 3, 4):
         inst = a.generate_instance(3, seed)
-        relaxed = a.solve_relaxed_cost(inst).objective_value
+        relaxed = a.solve_relaxed(inst, COST).objective_value
         optimum = a.brute_force(inst, a.ObjectiveKind.COST).objective_value
         assert relaxed <= optimum + 1e-6
         # fluid two-sided check: spreading the total energy with inverse-price
@@ -34,7 +37,7 @@ def test_relaxed_cost_is_lower_bound():
 def test_relaxed_par_is_lower_bound():
     for seed in (1, 2, 3):
         inst = a.generate_instance(3, seed)
-        peak = a.solve_relaxed_par(inst).objective_value
+        peak = a.solve_relaxed(inst, PAR).objective_value
         ratio = a.par_ratio_from_peak(inst, peak)
         optimum = a.brute_force(inst, a.ObjectiveKind.PAR).objective_value
         assert ratio <= optimum + 1e-6
@@ -47,7 +50,7 @@ def test_dropping_to_single_start_forces_schedule():
     dropped = {
         (n, s) for n, starts in enumerate(sets_) for s in starts if s != target[n]
     }
-    sol = a.solve_relaxed_cost(inst, dropped)
+    sol = a.solve_relaxed(inst, COST, dropped)
     forced = a.energy_cost(
         a.load_profile_from_schedule(inst, target), inst.cost_coefficients
     )
@@ -64,11 +67,8 @@ def test_drop_monotonicity():
         {(0, sets_[0][0]), (1, sets_[1][0])},
         {(0, sets_[0][0]), (1, sets_[1][0]), (1, sets_[1][1]), (2, sets_[2][5])},
     ]
-    for objective, convert in (
-        (a.solve_relaxed_cost, lambda v: v),
-        (a.solve_relaxed_par, lambda v: v),
-    ):
-        values = [convert(objective(inst, d).objective_value) for d in nested]
+    for objective in (COST, PAR):
+        values = [a.solve_relaxed(inst, objective, d).objective_value for d in nested]
         for smaller, larger in zip(values, values[1:]):
             assert smaller <= larger + 1e-7
 
@@ -77,8 +77,8 @@ def test_dropped_entries_are_exactly_zero():
     inst = a.generate_instance(3, 2)
     sets_ = a.start_sets(inst)
     dropped = {(1, sets_[1][0]), (1, sets_[1][4]), (2, sets_[2][2])}
-    for solve in (a.solve_relaxed_cost, a.solve_relaxed_par):
-        sol = solve(inst, dropped)
+    for objective in (COST, PAR):
+        sol = a.solve_relaxed(inst, objective, dropped)
         for n, s in dropped:
             assert sol.flows[n, s] == 0.0
         a.validate_flows(inst, sol.flows, tol=1e-6)
@@ -87,12 +87,12 @@ def test_dropped_entries_are_exactly_zero():
 def test_objective_reproducible_from_flows():
     for seed in (1, 5):
         inst = a.generate_instance(4, seed)
-        sol = a.solve_relaxed_cost(inst)
+        sol = a.solve_relaxed(inst, COST)
         recomputed = a.energy_cost(
             a.load_profile(inst, sol.flows, tol=1e-6), inst.cost_coefficients
         )
         assert recomputed == pytest.approx(sol.objective_value, rel=1e-6)
-        par_sol = a.solve_relaxed_par(inst)
+        par_sol = a.solve_relaxed(inst, PAR)
         loads = a.load_profile(inst, par_sol.flows, tol=1e-6)
         assert loads.max() == pytest.approx(par_sol.objective_value, rel=1e-6)
 
@@ -100,7 +100,7 @@ def test_objective_reproducible_from_flows():
 def test_single_dish_washer_relaxed_peak(dish_washer_instance):
     # 1.44 kWh spread over 24 coverable slots cannot beat 0.06 kWh peak,
     # and alternating half-weight starts attain it
-    sol = a.solve_relaxed_par(dish_washer_instance)
+    sol = a.solve_relaxed(dish_washer_instance, PAR)
     assert sol.objective_value == pytest.approx(0.06, abs=1e-6)
     assert a.par_ratio_from_peak(dish_washer_instance, sol.objective_value) == (
         pytest.approx(1.0, abs=1e-5)
@@ -109,14 +109,14 @@ def test_single_dish_washer_relaxed_peak(dish_washer_instance):
 
 def test_disjoint_pair_relaxed_peak(two_window_instance):
     # user 1 must place 3 kWh inside 6 slots: peak >= 0.5, and 0.5 is feasible
-    sol = a.solve_relaxed_par(two_window_instance)
+    sol = a.solve_relaxed(two_window_instance, PAR)
     assert sol.objective_value == pytest.approx(0.5, abs=1e-6)
 
 
 def test_identical_appliances_wide_window_peak(two_tier_coefficients):
     appliances = [a.Appliance.constant(f"u{i}", 0, 23, 2, 1.0) for i in range(3)]
     inst = a.ProblemInstance(24, appliances, two_tier_coefficients)
-    relaxed = a.solve_relaxed_par(inst).objective_value
+    relaxed = a.solve_relaxed(inst, PAR).objective_value
     assert relaxed <= 1.0 + 1e-6
     optimum = a.brute_force(inst, a.ObjectiveKind.PAR).objective_value
     assert optimum == pytest.approx(24.0 * 1.0 / 6.0, rel=1e-9)
@@ -126,21 +126,28 @@ def test_dropping_all_starts_of_a_user_rejected():
     inst = a.generate_instance(2, 1)
     sets_ = a.start_sets(inst)
     with pytest.raises(InvalidInstanceError):
-        a.solve_relaxed_cost(inst, {(0, s) for s in sets_[0]})
+        a.solve_relaxed(inst, COST, {(0, s) for s in sets_[0]})
     with pytest.raises(InvalidInstanceError):
-        a.solve_relaxed_cost(inst, {(0, 99)})
+        a.solve_relaxed(inst, COST, {(0, 99)})
 
 
 def test_non_integer_drops_rejected():
     inst = a.generate_instance(2, 3)
     for dropped in ({(0, 2.7)}, {(0.5, 3)}):
         with pytest.raises(InvalidInstanceError):
-            a.solve_relaxed_cost(inst, dropped)
+            a.solve_relaxed(inst, COST, dropped)
     numpy_pair = {(np.int64(0), np.int32(2))}
-    assert a.solve_relaxed_cost(inst, numpy_pair).flows[0, 2] == 0.0
+    assert a.solve_relaxed(inst, COST, numpy_pair).flows[0, 2] == 0.0
+
+
+@pytest.mark.parametrize("objective", [COST, PAR])
+def test_solver_failure_raises_solver_error(objective):
+    inst = a.generate_instance(10, 1)
+    with pytest.raises(a.SolverError, match="relaxed solve failed"):
+        a.solve_relaxed(inst, objective, settings=a.SolverSettings(max_solver_iterations=3))
 
 
 def test_solution_iterations_reported():
     inst = a.generate_instance(3, 1)
-    sol = a.solve_relaxed_cost(inst)
+    sol = a.solve_relaxed(inst, COST)
     assert sol.iterations > 0

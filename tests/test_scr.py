@@ -233,10 +233,23 @@ def test_near_tied_flows_drop_and_keep_by_user_and_slot():
     assert scr._leading_starts(flows).tolist() == [0, 0]
 
 
-def test_iteration_limit_error():
+@pytest.mark.parametrize("objective", [COST, PAR])
+def test_scr_needs_no_round_cap(objective, monkeypatch):
+    """Each round that is not integral drops a live column until every user
+    keeps one, so with no row ever one-hot the m - N + 1-th round finds
+    nothing to drop and raises: the loop needs no round cap."""
     inst = a.generate_instance(3, 2)
-    with pytest.raises(a.IterationLimitError):
-        a.successive_convex_relaxation(inst, COST, a.SCRConfig(max_iterations=1))
+    solve, solves = scr.solve_relaxed, []
+
+    def counting(*args, **kwargs):
+        solves.append(len(args[2]))  # drops made before this round
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scr, "one_hot_rows", lambda flows: np.zeros(len(flows), dtype=bool))
+    monkeypatch.setattr(scr, "solve_relaxed", counting)
+    with pytest.raises(a.SolverError, match="no droppable element"):
+        a.successive_convex_relaxation(inst, objective)
+    assert solves == list(range(max_rounds_bound(inst)))
 
 
 def test_config_validation():
@@ -250,7 +263,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_drops_per_iteration", 1.5), ("max_iterations", 1.5), ("max_iterations", 0)],
+    [("max_drops_per_iteration", 1.5)],
 )
 def test_config_rejects_counts_that_are_not_positive_integers(field, value):
     with pytest.raises(ValueError, match=field):
