@@ -55,12 +55,7 @@ from .objectives import (
     par,
 )
 from .oracle import DEFAULT_LIMIT, OracleResult, brute_force, resolve_workers
-from .relaxation import (
-    RelaxedSolution,
-    SolverSettings,
-    par_ratio_from_peak,
-    solve_relaxed,
-)
+from .relaxation import RelaxedSolution, par_ratio_from_peak, solve_relaxed
 from .scr import (
     IterationRecord,
     SCRConfig,

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .catalog import CATALOG_HORIZON, catalog_appliance
 from .errors import InvalidInstanceError, ParseError
-from .model import Appliance, ProblemInstance
+from .model import Appliance, ProblemInstance, check_duration_fits
 from .objectives import default_cost_coefficients
 from .scr import SweepRow
 
@@ -159,6 +159,12 @@ def _parse_appliance(raw, index: int, horizon: int) -> Appliance:
             "give exactly one of 'level' or 'energy_pattern'", location
         )
     duration = _as_int(raw["duration"], f"{location}.duration")
+    window_start = _as_int(raw["window_start"], f"{location}.window_start")
+    window_end = _as_int(raw["window_end"], f"{location}.window_end")
+    try:  # before a level is repeated ``duration`` times
+        check_duration_fits(raw["name"], window_start, window_end, duration)
+    except InvalidInstanceError as exc:
+        raise ParseError(str(exc), f"{location}.duration") from None
     if "level" in raw:
         pattern = (_as_number(raw["level"], f"{location}.level"),) * duration
     else:
@@ -168,13 +174,7 @@ def _parse_appliance(raw, index: int, horizon: int) -> Appliance:
             _as_number(g, f"{location}.energy_pattern") for g in raw["energy_pattern"]
         )
     try:
-        return Appliance(
-            raw["name"],
-            _as_int(raw["window_start"], f"{location}.window_start"),
-            _as_int(raw["window_end"], f"{location}.window_end"),
-            duration,
-            pattern,
-        )
+        return Appliance(raw["name"], window_start, window_end, duration, pattern)
     except InvalidInstanceError as exc:
         raise ParseError(str(exc), location) from None
 

@@ -34,6 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _STEP_SCALE = 0.9995  # fraction of the distance to the boundary taken per step
+#: relative accuracy at which an iterate is optimal
+TOLERANCE = 1e-8
+MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,8 @@ def solve_standard_form(
     group_sizes,
     coupling: np.ndarray | None,
     x0: np.ndarray,
-    tolerance: float = 1e-8,
-    max_iterations: int = 200,
+    tolerance: float = TOLERANCE,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> IpmResult:
     """Run the predictor-corrector iteration from a strictly positive x0.
 

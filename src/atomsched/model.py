@@ -14,6 +14,7 @@ contiguous before the modulo is applied.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,12 @@ def validate_horizon(horizon: int) -> None:
         raise InvalidInstanceError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 2:
         raise InvalidInstanceError(f"horizon must be >= 2, got {horizon}")
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,12 +69,7 @@ class Appliance:
                 f"{self.name}: window_end must exceed window_start "
                 f"(got {self.window_start}..{self.window_end})"
             )
-        if self.window_end < self.window_start + self.duration - 1:
-            raise InvalidInstanceError(
-                f"{self.name}: window [{self.window_start}, {self.window_end}] "
-                f"is shorter than duration {self.duration} "
-                "(window_end must be >= window_start + duration - 1)"
-            )
+        check_duration_fits(self.name, self.window_start, self.window_end, self.duration)
 
     @classmethod
     def constant(
@@ -75,6 +77,15 @@ class Appliance:
     ) -> "Appliance":
         """Appliance drawing the same energy ``level`` in every operating slot."""
         return cls(name, window_start, window_end, duration, (level,) * duration)
+
+
+def check_duration_fits(name: str, window_start: int, window_end: int, duration: int) -> None:
+    """Raise InvalidInstanceError unless ``duration`` slots fit in the window."""
+    if window_end < window_start + duration - 1:
+        raise InvalidInstanceError(
+            f"{name}: window [{window_start}, {window_end}] is shorter than duration "
+            f"{duration} (window_end must be >= window_start + duration - 1)"
+        )
 
 
 def validate_appliance(appliance: Appliance, horizon: int) -> None:

@@ -24,9 +24,8 @@ import numpy as np
 from . import _kernels
 from .errors import TooLargeError
 from .flows import PlacementTable
-from .model import ProblemInstance, enumeration_size
+from .model import ProblemInstance, check_count, enumeration_size
 from .objectives import ObjectiveKind
-from .relaxation import check_count
 
 DEFAULT_LIMIT = 100_000_000
 WORKER_CAP_ENV = "ATOMSCHED_MAX_WORKERS"
@@ -60,7 +59,7 @@ def resolve_workers(requested: int | None = None) -> int:
     workers = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get(WORKER_CAP_ENV, "").strip()
     if cap:
-        if not cap.isdigit() or int(cap) < 1:
+        if not cap.isdecimal() or int(cap) < 1:
             raise ValueError(f"{WORKER_CAP_ENV} must be an integer >= 1, got {cap!r}")
         workers = min(workers, int(cap))
     return workers

@@ -17,7 +17,6 @@ interior-point solver, and unpacks, clamps and checks the flows it returns.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Collection
 
@@ -37,26 +36,6 @@ CLAMP_TOL = 1e-9
 SOLUTION_FEASIBILITY_TOL = 1e-6
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    tolerance: float = 1e-8
-    max_solver_iterations: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
-        check_count("max_solver_iterations", self.max_solver_iterations)
-
-
-DEFAULT_SETTINGS = SolverSettings()
-
-
 @dataclass(frozen=True)
 class RelaxedSolution:
     """Optimal relaxed flows plus the solver's reported objective.
@@ -74,7 +53,6 @@ def solve_relaxed(
     instance: ProblemInstance,
     objective: ObjectiveKind,
     dropped: Collection[tuple[int, int]] = (),
-    settings: SolverSettings = DEFAULT_SETTINGS,
     table: PlacementTable | None = None,
 ) -> RelaxedSolution:
     """Solve the cost QP or the peak LP (value: its peak variable, kWh) over the
@@ -110,9 +88,7 @@ def solve_relaxed(
         np.fill_diagonal(coupling[:, m + 1:], 1.0)
         problem = dict(quad_factor=None, quad_weights=None, linear=linear,
                        coupling=coupling)
-    result = solve_standard_form(**problem, group_sizes=per_user, x0=x0,
-                                 tolerance=settings.tolerance,
-                                 max_iterations=settings.max_solver_iterations)
+    result = solve_standard_form(**problem, group_sizes=per_user, x0=x0)
     if result.status != "optimal":
         raise SolverError(
             f"relaxed solve failed ({result.status}) after {result.iterations} iterations"

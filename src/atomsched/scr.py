@@ -35,15 +35,9 @@ import numpy as np
 
 from .errors import SolverError
 from .flows import INTEGRAL_TOL, PlacementTable, one_hot_rows
-from .model import ProblemInstance
+from .model import ProblemInstance, check_count
 from .objectives import ObjectiveKind, score_loads
-from .relaxation import (
-    DEFAULT_SETTINGS,
-    SolverSettings,
-    check_count,
-    par_ratio_from_peak,
-    solve_relaxed,
-)
+from .relaxation import par_ratio_from_peak, solve_relaxed
 
 
 #: a polish move, or a later candidate over the incumbent, must improve the
@@ -57,10 +51,6 @@ class SCRConfig:
     drop_threshold: float = 0.1
     #: max elements dropped per round, including the mandatory minimum
     max_drops_per_iteration: int = 1
-    #: deterministic single-start descent on the final schedule; fractional
-    #: values rank load-flattening usefulness rather than standalone start
-    #: quality, so the dropping endgame alone misses nearby better schedules
-    polish: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.drop_threshold < 1.0:
@@ -162,7 +152,6 @@ def successive_convex_relaxation(
     instance: ProblemInstance,
     objective: ObjectiveKind,
     config: SCRConfig = SCRConfig(),
-    settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> SCRResult:
     """Compute a Boolean schedule with matching lower/upper bounds.
 
@@ -182,7 +171,7 @@ def successive_convex_relaxation(
     scored: set[tuple[int, ...]] = set()
 
     while True:
-        solution = solve_relaxed(instance, objective, drop_history, settings, table=table)
+        solution = solve_relaxed(instance, objective, drop_history, table=table)
         flows = solution.flows
 
         # dropped and out-of-window flows are exact zeros, so whole rows
@@ -190,13 +179,11 @@ def successive_convex_relaxation(
         integral = bool(one_hot_rows(flows).all())
 
         rounded = tuple(_leading_starts(flows).tolist())
-        if (config.polish or integral) and rounded not in scored:
+        if rounded not in scored:
             # each round's rounded-and-descended schedule is a feasible
             # candidate; keep the best one seen along the whole trajectory
             scored.add(rounded)
-            schedule = rounded
-            if config.polish:
-                schedule = polish_schedule(instance, objective, rounded, table=table)
+            schedule = polish_schedule(instance, objective, rounded, table=table)
             value = score_loads(
                 objective, table.schedule_loads(schedule), table.coefficients,
                 table.total_energy,
@@ -246,7 +233,7 @@ def scr_sweep(
     drop_threshold: float = SCRConfig.drop_threshold,
 ) -> list[SweepRow]:
     """Bound-vs-size sweep over ``generate_instance`` draws from the default
-    catalog, solved with the default solver settings.
+    catalog.
 
     One row per (n, n_d, seed) in input order; the run is deterministic apart
     from the wall_ms column.

@@ -188,6 +188,9 @@ def _doc(**changes):
         (_doc(cost_coefficients={"0-23": "x"}), "cost_coefficients['0-23']", "expected a number"),
         (_doc(appliances=[dict(INLINE, duration=2.0)]), "appliances[0].duration",
          "expected an integer"),
+        # a level repeated this many times cannot be allocated
+        (_doc(appliances=[dict(INLINE, window_end=5, duration=10**12)]),
+         "appliances[0].duration", "dw: window [0, 5] is shorter than duration 1000000000000"),
         (_doc(cost_coefficients={"night": 0.2}), "cost_coefficients",
          "tier key 'night' is not of the form 'lo-hi'"),
         (_doc(cost_coefficients={"0-24": 0.2}), "cost_coefficients",
@@ -205,9 +208,9 @@ def _doc(**changes):
         (_doc(cost_coefficients=[-0.2] * 24), "document",
          "cost coefficients must be finite and >= 0"),
     ],
-    ids=["coefficient", "tier-value", "duration", "tier-key", "tier-span", "coefficients-type",
-         "appliance-type", "catalog-key", "level-and-pattern", "pattern-type", "root", "horizon",
-         "instance"],
+    ids=["coefficient", "tier-value", "duration", "oversized-duration", "tier-key", "tier-span",
+         "coefficients-type", "appliance-type", "catalog-key", "level-and-pattern", "pattern-type",
+         "root", "horizon", "instance"],
 )
 def test_parse_error_locates_each_defect(doc, location, message):
     with pytest.raises(ParseError, match=re.escape(f"{location}: {message}")) as info:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import atomsched as a
-from atomsched import relaxation
+from atomsched import ipm, relaxation
 from atomsched.ipm import IpmResult, solve_standard_form
 from test_scr import stalling_par_instance, stalling_round_drops
 from test_scr_golden import CASES
@@ -60,7 +60,7 @@ class _ScaledSystem:
 
 def dense_solve_standard_form(
     quad_factor, quad_weights, linear, eq_matrix, eq_rhs, x0,
-    tolerance=1e-8, max_iterations=200,
+    tolerance=ipm.TOLERANCE, max_iterations=ipm.MAX_ITERATIONS,
 ):
     """Reference Newton step: the predictor-corrector iteration of
     ``ipm.solve_standard_form`` on a dense equality matrix A, with the
@@ -187,7 +187,7 @@ def simplex_rows(group_sizes, n_var):
 
 def dense_step(
     quad_factor, quad_weights, linear, group_sizes, coupling, x0,
-    tolerance=1e-8, max_iterations=200,
+    tolerance=ipm.TOLERANCE, max_iterations=ipm.MAX_ITERATIONS,
 ):
     """``solve_standard_form``'s structured input, solved by the dense
     reference: the simplex rows (right-hand side 1), then the coupling rows
@@ -338,21 +338,6 @@ def test_relaxed_par_matches_highs_under_drops():
     assert own == pytest.approx(highs, rel=1e-7, abs=1e-8)
 
 
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        a.SolverSettings(tolerance=0.0)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("tolerance", np.inf), ("tolerance", np.nan),
-     ("max_solver_iterations", 1.5), ("max_solver_iterations", 0)],
-)
-def test_settings_reject_non_finite_tolerance_and_non_integer_counts(field, value):
-    with pytest.raises(ValueError, match=field):
-        a.SolverSettings(**{field: value})
-
-
 def ipm_result(solver, instance, objective, dropped):
     """The IPM result of one relaxed solve with ``solver`` as the Newton
     step, also when the relaxation rejects it."""
@@ -412,10 +397,6 @@ def test_stalling_round_par_lp_matches_highs():
 def test_relaxed_solve_stops_at_first_non_finite_iterate():
     # nothing bounds the ungrouped column that minimizing -x1 pushes up: the
     # iterates grow until they overflow
-    limit = a.SolverSettings().max_solver_iterations
-    result = solve_standard_form(
-        None, None, np.array([0.0, -1.0]), [1], None, np.ones(2),
-        max_iterations=limit,
-    )
+    result = solve_standard_form(None, None, np.array([0.0, -1.0]), [1], None, np.ones(2))
     assert result.status == "numerical_failure"
-    assert result.iterations < limit
+    assert result.iterations < ipm.MAX_ITERATIONS

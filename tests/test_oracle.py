@@ -380,7 +380,7 @@ def test_objective_must_be_an_objective_kind(dish_washer_instance):
         a.brute_force(dish_washer_instance, None)
 
 
-@pytest.mark.parametrize("cap", ["0", "-2", "two", "1.5"])
+@pytest.mark.parametrize("cap", ["0", "-2", "two", "1.5", "\u00b2"])
 def test_worker_cap_must_be_a_positive_integer(cap, monkeypatch):
     monkeypatch.setenv("ATOMSCHED_MAX_WORKERS", cap)
     with pytest.raises(ValueError, match=f"ATOMSCHED_MAX_WORKERS.*{re.escape(repr(cap))}"):
