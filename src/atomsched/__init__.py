@@ -41,10 +41,8 @@ from .model import (
     enumeration_size,
     feasible_starts,
     instance_total_energy,
-    operation_range,
     start_sets,
     total_daily_energy,
-    window_slots,
 )
 from .objectives import (
     ObjectiveKind,

@@ -182,8 +182,8 @@ def check_flows(flows: np.ndarray, feasible: np.ndarray, tol: float) -> np.ndarr
         n = int(np.argmax(failed.any(axis=0)))
         s = int(np.argmax(outside[n]))
         messages = (
-            f"nonzero flow {f[n, s]!r} at start {s} outside the feasible start set",
-            f"flow entries outside [0, 1] (min {low[n]!r}, max {high[n]!r})",
+            f"nonzero flow {float(f[n, s])!r} at start {s} outside the feasible start set",
+            f"flow entries outside [0, 1] (min {float(low[n])!r}, max {float(high[n])!r})",
             f"row sums to {float(totals[n])!r}, expected 1",
         )
         raise InfeasibleFlowError(f"user {n}: {messages[int(np.argmax(failed[:, n]))]}")
@@ -213,7 +213,7 @@ def flows_to_schedule(instance: ProblemInstance, flows: np.ndarray) -> tuple[int
         s = int(starts[n])
         if not one_hot[n]:
             raise NotIntegralError(
-                n, f"user {n}: row is fractional (max entry {f[n, s]!r} at start {s})"
+                n, f"user {n}: row is fractional (max entry {float(f[n, s])!r} at start {s})"
             )
         raise InfeasibleFlowError(f"user {n}: integral flow sits at infeasible start {s}")
     return tuple(starts.tolist())

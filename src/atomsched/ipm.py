@@ -45,6 +45,7 @@ class IpmResult:
     #: duals of the simplex rows, then of the coupling rows
     eq_duals: np.ndarray
     bound_duals: np.ndarray
+    #: the objective at ``x``; ``solve_relaxed`` reports it as the relaxed bound
     objective: float
     iterations: int
     status: str  # "optimal" | "iteration_limit" | "numerical_failure"

@@ -1,4 +1,4 @@
-"""Core scheduling model: appliances, problem instances, and slot arithmetic.
+"""Core scheduling model: appliances, problem instances, and start sets.
 
 A day is divided into ``horizon`` equal slots numbered ``0 .. horizon-1``;
 all slot arithmetic wraps around the day boundary (modulo ``horizon``).
@@ -159,24 +159,6 @@ def feasible_starts(appliance: Appliance, horizon: int) -> tuple[int, ...]:
     validate_appliance(appliance, horizon)
     last = appliance.window_end - appliance.duration + 1
     return tuple(i % horizon for i in range(appliance.window_start, last + 1))
-
-
-def operation_range(start: int, duration: int, horizon: int) -> tuple[int, ...]:
-    """The ``duration`` slots occupied by an operation beginning at ``start``."""
-    validate_horizon(horizon)
-    if not 0 <= start < horizon:
-        raise InvalidInstanceError(f"start slot {start} outside [0, {horizon - 1}]")
-    if not 1 <= duration <= horizon:
-        raise InvalidInstanceError(
-            f"duration {duration} outside [1, horizon={horizon}]"
-        )
-    return tuple(i % horizon for i in range(start, start + duration))
-
-
-def window_slots(appliance: Appliance, horizon: int) -> set[int]:
-    """The set of slots covered by the appliance's scheduling window."""
-    validate_appliance(appliance, horizon)
-    return {i % horizon for i in range(appliance.window_start, appliance.window_end + 1)}
 
 
 @lru_cache(maxsize=256)

@@ -13,6 +13,8 @@ dense rows, with the peak and slack columns in no group.
 
 :func:`solve_relaxed` builds either problem, makes the one call to the
 interior-point solver, and unpacks, clamps and checks the flows it returns.
+The value it reports is the solver's own objective at the returned point: the
+QP's cost, or the LP's peak variable, which is the whole of its objective.
 """
 
 from __future__ import annotations
@@ -93,12 +95,6 @@ def solve_relaxed(
         raise SolverError(
             f"relaxed solve failed ({result.status}) after {result.iterations} iterations"
         )
-    if objective is ObjectiveKind.COST:
-        loads = loads_of @ result.x
-        value = float(weights @ (loads * loads))
-    else:
-        value = float(result.x[m])
-
     flows = np.zeros(feasible.shape)
     flows[users, starts] = result.x[:m]
     np.copyto(flows, 0.0, where=(flows < 0.0) & (flows >= -CLAMP_TOL))
@@ -108,7 +104,8 @@ def solve_relaxed(
     except Exception as exc:
         raise SolverError(f"solver returned infeasible flows: {exc}") from exc
     flows.setflags(write=False)
-    return RelaxedSolution(flows=flows, objective_value=value, iterations=result.iterations)
+    return RelaxedSolution(flows=flows, objective_value=result.objective,
+                           iterations=result.iterations)
 
 
 def par_ratio_from_peak(instance: ProblemInstance, peak: float) -> float:

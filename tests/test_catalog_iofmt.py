@@ -203,6 +203,8 @@ def _doc(**changes):
         (_doc(appliances=[dict(INLINE, energy_pattern=[0.36, 0.36])]), "appliances[0]",
          "give exactly one of 'level' or 'energy_pattern'"),
         (_doc(appliances=[PATTERNED]), "appliances[0]", "energy_pattern must be a list"),
+        (_doc(appliances=[dict(INLINE, level=0)]), "appliances[0]",
+         "dw: every energy_pattern level must be finite and > 0"),
         ([_doc()], "document", "document root must be an object"),
         (_doc(horizon="24"), "horizon", "horizon must be an integer"),
         (_doc(cost_coefficients=[-0.2] * 24), "document",
@@ -210,7 +212,7 @@ def _doc(**changes):
     ],
     ids=["coefficient", "tier-value", "duration", "oversized-duration", "tier-key", "tier-span",
          "coefficients-type", "appliance-type", "catalog-key", "level-and-pattern", "pattern-type",
-         "root", "horizon", "instance"],
+         "zero-level", "root", "horizon", "instance"],
 )
 def test_parse_error_locates_each_defect(doc, location, message):
     with pytest.raises(ParseError, match=re.escape(f"{location}: {message}")) as info:

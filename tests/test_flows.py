@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_flows_to_schedule_rejects_non_finite_and_misshaped(dish_washer_instance
 def test_flows_to_schedule_fractional_raises(dish_washer_instance):
     flows = np.zeros((1, 24))
     flows[0, 0] = flows[0, 1] = 0.5
-    with pytest.raises(NotIntegralError) as info:
+    with pytest.raises(NotIntegralError, match=r"max entry 0\.5 at start 0\)") as info:
         a.flows_to_schedule(dish_washer_instance, flows)
     assert info.value.user == 0
 
@@ -116,7 +117,11 @@ def test_validate_flows_rejections(dish_washer_instance):
         a.validate_flows(dish_washer_instance, flows)
     flows = np.zeros((1, 24))
     flows[0, 23] = 1.0  # outside the start set
-    with pytest.raises(InfeasibleFlowError):
+    with pytest.raises(InfeasibleFlowError, match="nonzero flow 1.0 at start 23 outside"):
+        a.validate_flows(dish_washer_instance, flows)
+    flows = np.zeros((1, 24))
+    flows[0, 0], flows[0, 1] = 1.5, -0.5
+    with pytest.raises(InfeasibleFlowError, match=re.escape("[0, 1] (min -0.5, max 1.5)")):
         a.validate_flows(dish_washer_instance, flows)
     flows = np.zeros((2, 24))
     with pytest.raises(InfeasibleFlowError):

@@ -252,6 +252,8 @@ def test_rejects_nonpositive_start():
         solve_standard_form(
             None, None, np.ones(2), [2], None, np.array([0.0, 1.0])
         )
+    with pytest.raises(ValueError, match="every simplex group needs at least one column"):
+        solve_standard_form(None, None, np.ones(2), [0, 2], None, np.ones(2))
 
 
 def _relaxed_cost_via_scipy(instance, dropped=frozenset()):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -34,19 +35,46 @@ def test_feasible_starts_full_day_single_choice():
     assert a.feasible_starts(full, 24) == (0,)
 
 
-def test_operation_range_examples():
-    assert a.operation_range(3, 2, 24) == (3, 4)
-    assert a.operation_range(23, 3, 24) == (23, 0, 1)
-    assert a.operation_range(0, 1, 24) == (0,)
+def _occupied(table, column):
+    """The slots row ``column`` loads, in slot order, and their loads."""
+    slots = np.flatnonzero(table.rows[column])
+    return slots.tolist(), table.rows[column, slots].tolist()
 
 
-def test_operation_range_rejects_bad_duration():
-    with pytest.raises(InvalidInstanceError):
-        a.operation_range(0, 25, 24)
-    with pytest.raises(InvalidInstanceError):
-        a.operation_range(0, 0, 24)
-    with pytest.raises(InvalidInstanceError):
-        a.operation_range(24, 1, 24)
+def test_placement_rows_examples(two_tier_coefficients):
+    inst = a.ProblemInstance(
+        24,
+        [
+            a.Appliance("mid", 3, 4, 2, (1.0, 2.0)),
+            a.Appliance("midnight", 23, 25, 3, (1.0, 2.0, 3.0)),
+            a.Appliance("one", 0, 1, 1, (0.5,)),
+        ],
+        two_tier_coefficients,
+    )
+    table = a.PlacementTable(inst)
+    assert table.starts.tolist() == [3, 23, 0, 1]
+    assert _occupied(table, 0) == ([3, 4], [1.0, 2.0])
+    # wraps past midnight: the pattern's order follows the operation, not the slots
+    assert _occupied(table, 1) == ([0, 1, 23], [2.0, 3.0, 1.0])
+    assert _occupied(table, 2) == ([0], [0.5])
+    assert _occupied(table, 3) == ([1], [0.5])
+
+
+def test_operation_range_rejects_bad_duration(two_tier_coefficients):
+    # a 25-slot operation cannot fit a 24-slot day
+    with pytest.raises(InvalidInstanceError, match="more than the horizon allows"):
+        a.ProblemInstance(
+            24, [a.Appliance.constant("long", 0, 24, 25, 1.0)], two_tier_coefficients
+        )
+    with pytest.raises(InvalidInstanceError, match="duration must be >= 1"):
+        a.Appliance("bad", 0, 3, 0, ())
+    # slot 24 is past the last slot of the day, so no placement row starts there
+    inst = a.ProblemInstance(
+        24, [a.Appliance.constant("one", 0, 23, 1, 1.0)], two_tier_coefficients
+    )
+    assert 24 not in a.PlacementTable(inst).starts.tolist()
+    with pytest.raises(a.InfeasibleFlowError):
+        a.schedule_to_flows(inst, (24,))
 
 
 def test_enumeration_size_worst_case_is_exact():
@@ -94,12 +122,15 @@ def test_start_set_size_and_window_property():
         starts = a.feasible_starts(appl, horizon)
         expected = appl.window_end - appl.duration - appl.window_start + 2
         assert len(starts) == expected
-        window = a.window_slots(appl, horizon)
-        for s in starts:
-            occupied = a.operation_range(s, appl.duration, horizon)
-            assert len(occupied) == appl.duration
+        window = {i % horizon for i in range(appl.window_start, appl.window_end + 1)}
+        table = a.PlacementTable(a.ProblemInstance(horizon, [appl], (0.2,) * horizon))
+        assert table.starts.tolist() == list(starts)
+        for s, row in zip(starts, table.rows):
+            occupied = [(s + j) % horizon for j in range(appl.duration)]
             assert len(set(occupied)) == appl.duration
             assert set(occupied) <= window
+            assert set(np.flatnonzero(row).tolist()) == set(occupied)
+            assert row[occupied].tolist() == list(appl.energy_pattern)
 
 
 def test_appliance_invariant_rejections():
@@ -119,6 +150,12 @@ def test_instance_invariant_rejections(two_tier_coefficients):
     ok = a.Appliance.constant("ok", 0, 5, 2, 1.0)
     with pytest.raises(InvalidInstanceError):
         a.ProblemInstance(1, [ok], (0.2,))  # horizon too small
+    with pytest.raises(InvalidInstanceError, match="horizon must be an integer"):
+        a.ProblemInstance(24.0, [ok], two_tier_coefficients)
+    with pytest.raises(InvalidInstanceError, match=re.escape("window_end must be in [1, 46]")):
+        a.ProblemInstance(
+            24, [a.Appliance.constant("late", 20, 50, 2, 1.0)], two_tier_coefficients
+        )
     with pytest.raises(InvalidInstanceError):
         a.ProblemInstance(24, [], two_tier_coefficients)  # no appliances
     with pytest.raises(InvalidInstanceError):

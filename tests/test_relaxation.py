@@ -142,6 +142,8 @@ def test_non_integer_drops_rejected():
             a.solve_relaxed(inst, COST, dropped)
     numpy_pair = {(np.int64(0), np.int32(2))}
     assert a.solve_relaxed(inst, COST, numpy_pair).flows[0, 2] == 0.0
+    with pytest.raises(ValueError, match="unknown objective"):
+        a.solve_relaxed(inst, "cost")
 
 
 @pytest.mark.parametrize("objective", [COST, PAR])
@@ -150,6 +152,15 @@ def test_solver_failure_raises_solver_error(objective):
     truncated = functools.partial(ipm.solve_standard_form, max_iterations=3)
     with patch.object(relaxation, "solve_standard_form", truncated):
         with pytest.raises(a.SolverError, match="relaxed solve failed"):
+            a.solve_relaxed(inst, objective)
+
+    def negative_flow(x0, **problem):
+        x = x0.copy()
+        x[0] = -0.5
+        return ipm.IpmResult(x, np.zeros(0), np.zeros(0), 0.0, 0, "optimal")
+
+    with patch.object(relaxation, "solve_standard_form", negative_flow):
+        with pytest.raises(a.SolverError, match="solver returned infeasible flows"):
             a.solve_relaxed(inst, objective)
 
 
