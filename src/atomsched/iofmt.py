@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .catalog import CATALOG_HORIZON, catalog_appliance
 from .errors import InvalidInstanceError, ParseError
-from .model import Appliance, ProblemInstance, check_duration_fits
+from .model import Appliance, ProblemInstance, check_duration_fits, validate_horizon
 from .objectives import default_cost_coefficients
 from .scr import SweepRow
 
@@ -197,8 +197,10 @@ def parse_instance(text: str) -> ProblemInstance:
     if "horizon" not in doc:
         raise ParseError("missing field 'horizon'", "document")
     horizon = doc["horizon"]
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
-        raise ParseError("horizon must be an integer", "horizon")
+    try:  # before prices or windows are built for ``horizon`` slots
+        validate_horizon(horizon)
+    except InvalidInstanceError as exc:
+        raise ParseError(str(exc), "horizon") from None
     raw_appliances = doc.get("appliances")
     if not isinstance(raw_appliances, list) or not raw_appliances:
         raise ParseError("need a non-empty appliance list", "appliances")

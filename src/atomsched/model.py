@@ -1,7 +1,8 @@
 """Core scheduling model: appliances, problem instances, and start sets.
 
-A day is divided into ``horizon`` equal slots numbered ``0 .. horizon-1``;
-all slot arithmetic wraps around the day boundary (modulo ``horizon``).
+A day is divided into ``horizon`` equal slots numbered ``0 .. horizon-1``,
+at most ``MAX_HORIZON`` (one-minute slots); all slot arithmetic wraps around
+the day boundary (modulo ``horizon``).
 An appliance operation is atomic: it occupies ``duration`` contiguous slots
 with a fixed per-slot energy pattern and cannot be split or throttled.
 
@@ -21,11 +22,15 @@ from functools import lru_cache
 from .errors import InvalidInstanceError
 
 
+#: one-minute slots: a finer horizon would give different starts the same clock time
+MAX_HORIZON = 24 * 60
+
+
 def validate_horizon(horizon: int) -> None:
     if not isinstance(horizon, int) or isinstance(horizon, bool):
         raise InvalidInstanceError(f"horizon must be an integer, got {horizon!r}")
-    if horizon < 2:
-        raise InvalidInstanceError(f"horizon must be >= 2, got {horizon}")
+    if not 2 <= horizon <= MAX_HORIZON:
+        raise InvalidInstanceError(f"horizon must be in [2, {MAX_HORIZON}], got {horizon}")
 
 
 def check_count(name: str, value) -> None:
@@ -53,6 +58,12 @@ class Appliance:
         object.__setattr__(
             self, "energy_pattern", tuple(float(g) for g in self.energy_pattern)
         )
+        for key in ("window_start", "window_end", "duration"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInstanceError(
+                    f"{self.name}: {key} must be an integer, got {value!r}"
+                )
         if self.duration < 1:
             raise InvalidInstanceError(f"{self.name}: duration must be >= 1")
         if len(self.energy_pattern) != self.duration:

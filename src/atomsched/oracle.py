@@ -1,20 +1,19 @@
 """Global optimization by direct enumeration of every joint schedule.
 
 This is the ground truth the relaxation bounds are validated against. The
-scan is embarrassingly parallel: each worker takes one contiguous
-mixed-radix index range and runs the one enumeration kernel,
-``_kernels.scan_range``, on it with the instance's ``PlacementTable``. A
-schedule's value is bit-identical wherever its range starts, so per-range
-results are pure functions of the range and the merged outcome is identical
-for any worker count. Ties are
-broken toward the lexicographically smallest schedule, comparing starts by
-their pre-modulo window position (so a 10 PM start orders before a midnight
-start of the same wrapped window).
+scan is embarrassingly parallel: it is cut into one contiguous mixed-radix
+index range per worker (``workers``, default the CPU count), and each range
+runs the one enumeration kernel, ``_kernels.scan_range``, with the
+instance's ``PlacementTable``. A schedule's value is bit-identical wherever
+its range starts, so per-range results are pure functions of the range and
+the merged outcome is identical for any worker count. Ties are broken toward
+the lexicographically smallest schedule, comparing starts by their
+pre-modulo window position (so a 10 PM start orders before a midnight start
+of the same wrapped window).
 """
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from .model import ProblemInstance, check_count, enumeration_size
 from .objectives import ObjectiveKind
 
 DEFAULT_LIMIT = 100_000_000
-WORKER_CAP_ENV = "ATOMSCHED_MAX_WORKERS"
 
 #: below this many schedules the scan is one range
 _MIN_PARALLEL_SIZE = 1 << 16
@@ -46,23 +44,13 @@ class OracleResult:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for parallel scans, capped by ATOMSCHED_MAX_WORKERS.
-
-    A requested count and the cap must be integers >= 1; anything else
-    raises ValueError.
-    """
-    if requested is not None:
-        if isinstance(requested, bool) or not isinstance(requested, numbers.Integral):
-            raise ValueError(f"workers must be an integer, got {requested!r}")
-        if requested < 1:
-            raise ValueError(f"workers must be >= 1, got {requested}")
-    workers = requested if requested is not None else (os.cpu_count() or 1)
-    cap = os.environ.get(WORKER_CAP_ENV, "").strip()
-    if cap:
-        if not cap.isdecimal() or int(cap) < 1:
-            raise ValueError(f"{WORKER_CAP_ENV} must be an integer >= 1, got {cap!r}")
-        workers = min(workers, int(cap))
-    return workers
+    """Worker count for parallel scans: ``requested``, or the CPU count when
+    it is None. A requested count that is not an integer >= 1 raises
+    ValueError."""
+    if requested is None:
+        return os.cpu_count() or 1
+    check_count("workers", requested)
+    return requested
 
 
 def brute_force(
@@ -76,8 +64,8 @@ def brute_force(
     bound proves it no better than a lower-index schedule.
 
     Refuses instances whose joint start space exceeds ``limit`` evaluations
-    (TooLargeError reports the exact size), a ``limit`` that is not an
-    integer >= 1 and objectives that are not an ``ObjectiveKind``
+    (TooLargeError reports the exact size), a ``limit`` or ``workers`` that
+    is not an integer >= 1 and objectives that are not an ``ObjectiveKind``
     (ValueError).
     """
     if not isinstance(objective, ObjectiveKind):

@@ -12,7 +12,7 @@ Newton step eliminates in closed form; the PAR LP's slot-load rows are its only
 dense rows, with the peak and slack columns in no group.
 
 :func:`solve_relaxed` builds either problem, makes the one call to the
-interior-point solver, and unpacks, clamps and checks the flows it returns.
+interior-point solver, and unpacks and checks the flows it returns.
 The value it reports is the solver's own objective at the returned point: the
 QP's cost, or the LP's peak variable, which is the whole of its objective.
 """
@@ -30,9 +30,6 @@ from .ipm import solve_standard_form
 from .model import ProblemInstance, instance_total_energy
 from .objectives import ObjectiveKind
 
-#: Solver output within this distance outside [0, 1] is clamped onto the box
-#: before feasibility validation.
-CLAMP_TOL = 1e-9
 #: Feasibility tolerance applied to solver output (vs. the 1e-9 used for
 #: exact, hand-built flow matrices).
 SOLUTION_FEASIBILITY_TOL = 1e-6
@@ -97,8 +94,6 @@ def solve_relaxed(
         )
     flows = np.zeros(feasible.shape)
     flows[users, starts] = result.x[:m]
-    np.copyto(flows, 0.0, where=(flows < 0.0) & (flows >= -CLAMP_TOL))
-    np.copyto(flows, 1.0, where=(flows > 1.0) & (flows <= 1.0 + CLAMP_TOL))
     try:
         check_flows(flows, feasible, SOLUTION_FEASIBILITY_TOL)
     except Exception as exc:

@@ -207,12 +207,15 @@ def _doc(**changes):
          "dw: every energy_pattern level must be finite and > 0"),
         ([_doc()], "document", "document root must be an object"),
         (_doc(horizon="24"), "horizon", "horizon must be an integer"),
+        # rejected before a default price is built for each of its slots
+        (_doc(horizon=10**6, appliances=[INLINE]), "horizon",
+         "horizon must be in [2, 1440], got 1000000"),
         (_doc(cost_coefficients=[-0.2] * 24), "document",
          "cost coefficients must be finite and >= 0"),
     ],
     ids=["coefficient", "tier-value", "duration", "oversized-duration", "tier-key", "tier-span",
          "coefficients-type", "appliance-type", "catalog-key", "level-and-pattern", "pattern-type",
-         "zero-level", "root", "horizon", "instance"],
+         "zero-level", "root", "horizon", "huge-horizon", "instance"],
 )
 def test_parse_error_locates_each_defect(doc, location, message):
     with pytest.raises(ParseError, match=re.escape(f"{location}: {message}")) as info:

@@ -144,6 +144,13 @@ def test_appliance_invariant_rejections():
         a.Appliance("bad", 0, 3, 2, (1.0, 0.0))  # nonpositive level
     with pytest.raises(InvalidInstanceError):
         a.Appliance("bad", 0, 3, 2, (1.0, float("nan")))
+    with pytest.raises(InvalidInstanceError, match="window_start must be an integer, got 0.5"):
+        a.Appliance("bad", 0.5, 23.0, 2, (1.0, 1.0))
+    with pytest.raises(InvalidInstanceError, match="duration must be an integer, got 2.0"):
+        a.Appliance("bad", 0, 23, 2.0, (1.0, 1.0))
+    with pytest.raises(InvalidInstanceError, match="window_start must be an integer, got True"):
+        a.Appliance("bad", True, 23, 2, (1.0, 1.0))
+    a.Appliance("ok", np.int64(0), np.int64(23), np.int64(2), (1.0, 1.0))  # numpy ints are integers
 
 
 def test_instance_invariant_rejections(two_tier_coefficients):
@@ -152,6 +159,8 @@ def test_instance_invariant_rejections(two_tier_coefficients):
         a.ProblemInstance(1, [ok], (0.2,))  # horizon too small
     with pytest.raises(InvalidInstanceError, match="horizon must be an integer"):
         a.ProblemInstance(24.0, [ok], two_tier_coefficients)
+    with pytest.raises(InvalidInstanceError, match=re.escape("horizon must be in [2, 1440]")):
+        a.ProblemInstance(1441, [ok], (0.2,) * 1441)
     with pytest.raises(InvalidInstanceError, match=re.escape("window_end must be in [1, 46]")):
         a.ProblemInstance(
             24, [a.Appliance.constant("late", 20, 50, 2, 1.0)], two_tier_coefficients

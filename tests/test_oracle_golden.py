@@ -47,11 +47,20 @@ def _expected():
     return {(c["case"], c["objective"]): c for c in json.loads(GOLDEN.read_text())}
 
 
-@pytest.mark.parametrize("objective", OBJECTIVES)
-@pytest.mark.parametrize("case", list(instances()))
-def test_oracle_matches_golden_run(case, objective):
+#: every case at default workers (ids ``case-objective``) and on one scan
+#: range (``case-objective-workers1``)
+GOLDEN_RUNS = [
+    pytest.param(case, objective, workers, id=f"{case}-{objective}{suffix}")
+    for case in instances()
+    for objective in OBJECTIVES
+    for workers, suffix in ((None, ""), (1, "-workers1"))
+]
+
+
+@pytest.mark.parametrize("case, objective, workers", GOLDEN_RUNS)
+def test_oracle_matches_golden_run(case, objective, workers):
     expected = _expected()[(case, objective)]
-    got = run(instances()[case], objective)
+    got = run(instances()[case], objective, workers)
     for key in ("objective_value", "schedule", "evaluations"):
         assert got[key] == expected[key], key
 
