@@ -14,26 +14,52 @@ added in user order.
 
 The scan is split over blocks that pair a few schedules of the first users
 (the prefix, possibly empty) with every schedule of the last users (the
-suffix, never empty). A block scores only its prefix rows whose bound may
-beat the range's best: PAR exactly, cost from per-user cross terms, and
-the pairs rounding may put at the minimum are re-scored from their loads,
-summed in user order, by ``objectives.score_loads``, SCR's scorer too.
+suffix, never empty). Prefix rows are taken in chunks of up to ``_CHUNK``:
+a chunk builds its rows' loads and bounds once, and its blocks take its
+rows in order of bound, ties by index, so the rows that may beat the
+incumbent are a leading run of that order and the most promising are
+scored first. A block scores only rows whose bound may beat the incumbent:
+PAR exactly, cost from per-user cross terms, and the pairs rounding may put
+at the minimum are re-scored from their loads, summed in user order, by
+``objectives.score_loads``, SCR's scorer too.
 
-Neither bound needs slack: row entries are >= 0 and adding a nonnegative
-float never lowers a rounded sum, so a schedule's peak is at least its
-prefix's peak and each suffix user's lowest row peak, and a cost score is
-at least the prefix's cost plus the suffix's lowest. A row is skipped only
-when none of its values can beat, or for cost come within the candidate
-cut of, the best at a lower index of the same range, so the first-index
-rule and worker-count independence hold.
+No bound needs slack: row entries are >= 0 and adding a nonnegative float
+never lowers a rounded sum. So a schedule's peak is at least its prefix's
+peak and each suffix user's lowest row peak, and a cost score is at least
+the prefix's cost plus the suffix's lowest. A PAR row that passes that
+bound is then bounded by its lowest peak over the joint starts of the
+heaviest suffix users (ranked by lowest row peak, at most ``_JOINT`` joint
+starts): their rows are added to the prefix loads one user at a time, in
+user order. Each slot sum is then the canonical sum with some nonnegative
+terms left out, so it is never above it, and the bound is at most each of
+the row's values as computed. Pre-summing the heavy rows would not keep
+this order and could exceed a canonical sum by an ulp.
+
+The ranges of one scan share a ``SharedScan``: the suffix tables, built
+once, and the incumbent, the lowest (value, index) pair any range has
+re-scored, read before each block and lowered under a lock. A cost row is
+skipped when its bound is past the candidate cut of the incumbent's value,
+so its canonical values are all above it; a cost block is skipped when its
+lowest score is. A PAR row is skipped when its bound is above the
+incumbent's value, or equal to it with no schedule before the incumbent's
+index, since a tie goes to the lower index. A range returns the lowest
+(value, index) pair among the schedules it re-scored. The range holding
+the first minimum over all ranges never skips it and returns it, and every
+range below returns a higher value, so the merged result does not depend
+on the worker count or on timing; only the work done, which rows each
+range skips, does.
 
 ``_SUFFIX_CAP`` bounds the suffix, a block's row width; the cost path keeps
 one float per suffix schedule. ``_BLOCK`` bounds a block, which takes as
-many consecutive prefix rows as fit. Blocks are larger than the suffix as
-a block's numpy passes run over rows that grow with its prefix rows, and
-passes over rows shorter than a few thousand elements cost several times
-more per element than passes over longer ones; a larger suffix would
-instead widen the rows the bounds skip.
+many prefix rows as fit. Blocks are larger than the suffix as a block's
+numpy passes run over rows that grow with its prefix rows, and passes over
+rows shorter than a few thousand elements cost several times more per
+element than passes over longer ones; a larger suffix would instead widen
+the rows the bounds skip. A chunk of c prefix rows holds c * (H + 4)
+numbers: each row's loads, index, bound, place in the bound order and, for
+cost, the prefix's own cost; 0.9 MB at c = 4096 and H = 24. The joint PAR
+bound takes at most ``_BLOCK // (joint starts * H)`` rows at once, so its
+temporaries stay within ``_BLOCK`` floats, as a block's do.
 
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
 terms of every slot are added in user order however the blocks fall, so a
@@ -42,10 +68,13 @@ the rows in user order, and the scan result does not depend on how the
 range was partitioned.
 
 An empty range (hi <= lo) gives (inf, -1). The module holds no mutable
-state, so scans may run at once on any number of threads.
+state and a ``SharedScan`` changes only under its lock, so scans may run at
+once on any number of threads.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -59,6 +88,10 @@ _SUFFIX_CAP = 1 << 15
 #: last user: H per schedule of the users before it (4 MB at H = 24 when the
 #: last user has 6 starts)
 _BLOCK = 1 << 17
+#: prefix rows per chunk at most
+_CHUNK = 1 << 12
+#: joint starts of the heavy suffix users in the PAR row bound, at most
+_JOINT = 64
 
 
 def _loads(index, user_rows, horizon):
@@ -81,6 +114,60 @@ def _split_point(radices):
         m -= 1
         size *= int(radices[m])
     return m, size
+
+
+class SharedScan:
+    """What the ranges of one scan of ``table`` under ``objective`` share:
+    the suffix tables, built once, and the incumbent ``best``, the lowest
+    (value, index) pair any range has re-scored (``offer``)."""
+
+    def __init__(self, table: PlacementTable, objective: ObjectiveKind):
+        user_rows, coeffs = table.user_rows(), table.coefficients
+        self.m, self.size = _split_point(table.radices)
+        suffix_rows = user_rows[self.m :]
+        if objective is ObjectiveKind.COST:
+            suffix = np.zeros((1, len(coeffs)))
+            for rows in suffix_rows:
+                suffix = (suffix[:, None] + rows).reshape(-1, len(coeffs))
+            self.suffix_cost = np.einsum("h,sh,sh->s", coeffs, suffix, suffix)
+            self.floor = self.suffix_cost.min()
+            self.suffix_weights = [2 * coeffs[:, None] * rows.T for rows in suffix_rows]
+            # each term of a score or canonical value is rounded at most 2K + H + 2
+            # times (K users: K in load sums, two multiplies, H - 1 in the slot sum,
+            # K adding users' terms, one the suffix's cost), so a pair scoring over
+            # (1 + 4 gamma) times another's cannot have the lower canonical value;
+            # 8 gamma also covers rounding the cut
+            unit = (2 * len(user_rows) + len(coeffs) + 8) * np.finfo(float).eps / 2
+            self.cut_factor = 1 + 8 * unit / (1 - unit)
+        else:
+            # a schedule's peak is at least each suffix user's own row peak
+            lowest = [rows.max(axis=1).min() for rows in suffix_rows]
+            self.floor = max(lowest)
+            heavy, self.joint = [], 1
+            for j in sorted(range(len(lowest)), key=lambda j: -lowest[j]):
+                if self.joint * len(suffix_rows[j]) > _JOINT:
+                    break
+                heavy.append(j)
+                self.joint *= len(suffix_rows[j])
+            self.heavy_rows = [suffix_rows[j] for j in sorted(heavy)]
+        self.best = (np.inf, -1)
+        self._lock = threading.Lock()
+
+    def offer(self, value: float, index: int) -> None:
+        """Lower the incumbent to (value, index) if that pair is lower."""
+        with self._lock:
+            if (value, index) < self.best:
+                self.best = (value, index)
+
+
+def _joint_peaks(prefix, heavy_rows):
+    """Each prefix row's lowest peak over the joint starts of the users
+    whose rows are ``heavy_rows``, which slot-major loads gain one user at
+    a time, in user order."""
+    loads = np.ascontiguousarray(prefix.T)
+    for rows in heavy_rows:
+        loads = np.add(loads[:, :, None], rows.T[:, None, :]).reshape(len(loads), -1)
+    return loads.max(axis=0).reshape(len(prefix), -1).min(axis=1)
 
 
 def _block_peaks(prefix, suffix_rows):
@@ -116,72 +203,89 @@ def _block_costs(prefix, prefix_cost, suffix_weights, suffix_cost):
 
 
 def scan_range(
-    lo: int, hi: int, table: PlacementTable, objective: ObjectiveKind
+    lo: int,
+    hi: int,
+    table: PlacementTable,
+    objective: ObjectiveKind,
+    shared: SharedScan | None = None,
 ) -> tuple[float, int]:
     """Minimum of ``objective`` over schedules lo..hi-1 and the first index
     attaining it.
 
     Users m..N-1 (``_split_point``) form the suffix. A block pairs as many
-    consecutive prefix schedules as fit in ``_BLOCK`` (one when the suffix
-    alone exceeds it) with every suffix schedule, so its indices are
-    contiguous.
+    prefix schedules of one chunk as fit in ``_BLOCK`` (one when the suffix
+    alone exceeds it) with every suffix schedule. ``shared`` is the scan
+    that the range belongs to; by default the range is a scan of its own.
     """
     if hi <= lo:
         return np.inf, -1
+    if shared is None:
+        shared = SharedScan(table, objective)
     best = (np.inf, -1)
     user_rows, coeffs = table.user_rows(), table.coefficients
     horizon, energy = len(coeffs), table.total_energy
-    m, size = _split_point(table.radices)
+    m, size = shared.m, shared.size
     cost = objective is ObjectiveKind.COST
-    if cost:
-        suffix = np.zeros((1, horizon))
-        for rows in user_rows[m:]:
-            suffix = (suffix[:, None] + rows).reshape(-1, horizon)
-        suffix_cost = np.einsum("h,sh,sh->s", coeffs, suffix, suffix)
-        del suffix
-        floor = suffix_cost.min()
-        suffix_weights = [2 * coeffs[:, None] * rows.T for rows in user_rows[m:]]
-        # each term of a score or canonical value is rounded at most 2K + H + 2
-        # times (K users: K in load sums, two multiplies, H - 1 in the slot sum,
-        # K adding users' terms, one the suffix's cost), so a pair scoring over
-        # (1 + 4 gamma) times another's cannot have the lower canonical value;
-        # 8 gamma also covers rounding the cut
-        unit = (2 * len(user_rows) + horizon + 8) * np.finfo(float).eps / 2
-        cut_factor = 1 + 8 * unit / (1 - unit)
-    else:
-        # a schedule's peak is at least each suffix user's own row peak
-        floor = max(rows.max(axis=1).min() for rows in user_rows[m:])
     rows = max(1, _BLOCK // size)
     q_end = (hi - 1) // size + 1
-    for q0 in range(lo // size, q_end, rows):
-        prefix = _loads(np.arange(q0, min(q0 + rows, q_end)), user_rows[:m], horizon)
+    for c0 in range(lo // size, q_end, _CHUNK):
+        chunk = np.arange(c0, min(c0 + _CHUNK, q_end))
+        prefix = _loads(chunk, user_rows[:m], horizon)
         # a row's bound is <= each of its values as computed (PAR: the same expression)
         if cost:
             prefix_cost = np.einsum("h,ph,ph->p", coeffs, prefix, prefix)
-            keep = np.flatnonzero(prefix_cost + floor <= best[0] * cut_factor)
+            bound = prefix_cost + shared.floor
         else:
-            keep = np.flatnonzero((horizon * np.maximum(prefix.max(1), floor)) / energy < best[0])
-        if not len(keep):
-            continue
-        if cost:
-            vals = _block_costs(prefix[keep], prefix_cost[keep], suffix_weights, suffix_cost)
-        else:
-            vals = (horizon * _block_peaks(prefix[keep], user_rows[m:])) / energy
-        # only the range's first and last prefix rows reach past lo..hi-1
-        starts = (q0 + keep) * size
-        vals = vals.reshape(len(keep), size)
-        vals[0, : max(lo - starts[0], 0)] = np.inf
-        vals[-1, hi - starts[-1] :] = np.inf
-        vals = vals.ravel()
-        # PAR's values are canonical, so its first minimum is its one candidate
-        low = np.argmin(vals, keepdims=True)
-        sel = np.flatnonzero(vals <= min(vals[low[0]], best[0]) * cut_factor) if cost else low
-        if len(sel):
-            index = starts[sel // size] + sel % size
-            canonical = score_loads(objective, _loads(index, user_rows, horizon), coeffs, energy)
+            bound = (horizon * np.maximum(prefix.max(1), shared.floor)) / energy
+            if shared.heavy_rows:
+                fresh = np.flatnonzero(bound <= shared.best[0])
+                step = max(1, _BLOCK // (shared.joint * horizon))
+                for k in range(0, len(fresh), step):
+                    part = fresh[k : k + step]
+                    peaks = _joint_peaks(prefix[part], shared.heavy_rows)
+                    bound[part] = (horizon * peaks) / energy
+        # rows by bound, ties by index: the rows that may beat the incumbent
+        # are a leading run of this order, and the best of them come first
+        order = np.argsort(bound, kind="stable")
+        for pos in range(0, len(order), rows):
+            value, index = shared.best
+            block = order[pos : pos + rows]
+            if cost:
+                block = block[bound[block] <= value * shared.cut_factor]
+            else:
+                # a tie goes to the lower index
+                earlier = chunk[block] * size < index
+                block = block[(bound[block] < value) | ((bound[block] == value) & earlier)]
+            if not len(block):
+                break
+            block.sort()
+            if cost:
+                vals = _block_costs(
+                    prefix[block], prefix_cost[block], shared.suffix_weights, shared.suffix_cost
+                )
+            else:
+                vals = (horizon * _block_peaks(prefix[block], user_rows[m:])) / energy
+            # only the range's first and last prefix rows reach past lo..hi-1
+            starts = chunk[block] * size
+            vals = vals.reshape(len(block), size)
+            vals[0, : max(lo - starts[0], 0)] = np.inf
+            vals[-1, hi - starts[-1] :] = np.inf
+            vals = vals.ravel()
+            if cost:
+                low = vals.min()
+                if low > value * shared.cut_factor:
+                    continue
+                sel = np.flatnonzero(vals <= min(low, value) * shared.cut_factor)
+            else:
+                # PAR's values are canonical, so its first minimum is its one candidate
+                sel = np.argmin(vals, keepdims=True)
+            candidates = starts[sel // size] + sel % size
+            canonical = score_loads(objective, _loads(candidates, user_rows, horizon), coeffs, energy)
             k = int(np.argmin(canonical))
-            if canonical[k] < best[0]:
-                best = (float(canonical[k]), int(index[k]))
+            # blocks follow the bound order, so an earlier block may hold a later index
+            if (canonical[k], candidates[k]) < best:
+                best = (float(canonical[k]), int(candidates[k]))
+                shared.offer(*best)
     return best
 
 

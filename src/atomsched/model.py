@@ -27,7 +27,10 @@ MAX_HORIZON = 24 * 60
 
 
 def validate_horizon(horizon: int) -> None:
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
+    """Raise InvalidInstanceError unless ``horizon`` is an integer (any
+    non-bool ``numbers.Integral``, as for an appliance's window) in
+    [2, ``MAX_HORIZON``]."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
         raise InvalidInstanceError(f"horizon must be an integer, got {horizon!r}")
     if not 2 <= horizon <= MAX_HORIZON:
         raise InvalidInstanceError(f"horizon must be in [2, {MAX_HORIZON}], got {horizon}")
@@ -64,6 +67,8 @@ class Appliance:
                 raise InvalidInstanceError(
                     f"{self.name}: {key} must be an integer, got {value!r}"
                 )
+            # a plain int, so that the appliance serializes as JSON
+            object.__setattr__(self, key, int(value))
         if self.duration < 1:
             raise InvalidInstanceError(f"{self.name}: duration must be >= 1")
         if len(self.energy_pattern) != self.duration:
@@ -136,6 +141,8 @@ class ProblemInstance:
             self, "cost_coefficients", tuple(float(a) for a in self.cost_coefficients)
         )
         validate_horizon(self.horizon)
+        # a plain int, so that the instance serializes as JSON
+        object.__setattr__(self, "horizon", int(self.horizon))
         if not self.appliances:
             raise InvalidInstanceError("instance needs at least one appliance")
         for appliance in self.appliances:

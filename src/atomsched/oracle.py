@@ -1,15 +1,21 @@
 """Global optimization by direct enumeration of every joint schedule.
 
 This is the ground truth the relaxation bounds are validated against. The
-scan is embarrassingly parallel: it is cut into one contiguous mixed-radix
-index range per worker (``workers``, default the CPU count), and each range
-runs the one enumeration kernel, ``_kernels.scan_range``, with the
-instance's ``PlacementTable``. A schedule's value is bit-identical wherever
-its range starts, so per-range results are pure functions of the range and
-the merged outcome is identical for any worker count. Ties are broken toward
-the lexicographically smallest schedule, comparing starts by their
-pre-modulo window position (so a 10 PM start orders before a midnight start
-of the same wrapped window).
+scan is cut into one contiguous mixed-radix index range per worker
+(``workers``, default the CPU count), and each range runs the one
+enumeration kernel, ``_kernels.scan_range``, with the instance's
+``PlacementTable``. The ranges of one call share a ``_kernels.SharedScan``:
+the suffix tables, built once per call, and one incumbent, the best (value,
+index) pair found by any range so far. A range reads it before each block,
+skips the prefix rows whose bound proves them no better, and lowers it under
+a lock when it finds a better schedule. Which rows a range skips, and so
+what it returns, depends on how the threads are timed; the merged outcome
+does not. A schedule's value is bit-identical wherever its range starts,
+the range holding the first optimum always returns it, and every range
+before it returns a higher value, so the merged outcome is identical for
+any worker count and any timing. Ties are broken toward the lexicographically smallest
+schedule, comparing starts by their pre-modulo window position (so a 10 PM
+start orders before a midnight start of the same wrapped window).
 """
 
 from __future__ import annotations
@@ -61,7 +67,8 @@ def brute_force(
 ) -> OracleResult:
     """The best of every feasible schedule under the objective: each one is
     scored, or skipped with a prefix row (under either objective) whose
-    bound proves it no better than a lower-index schedule.
+    bound proves it no better than the incumbent, a schedule that one of
+    the call's ranges has scored.
 
     Refuses instances whose joint start space exceeds ``limit`` evaluations
     (TooLargeError reports the exact size), a ``limit`` or ``workers`` that
@@ -76,12 +83,15 @@ def brute_force(
         raise TooLargeError(total, limit)
 
     table = PlacementTable(instance)
+    shared = _kernels.SharedScan(table, objective)
     workers = resolve_workers(workers)
     n_ranges = 1 if total < _MIN_PARALLEL_SIZE else workers
     bounds = [total * k // n_ranges for k in range(n_ranges + 1)]
     with ThreadPoolExecutor(max_workers=n_ranges) as pool:
         partials = pool.map(
-            lambda lo, hi: _kernels.scan_range(lo, hi, table, objective), bounds, bounds[1:]
+            lambda lo, hi: _kernels.scan_range(lo, hi, table, objective, shared),
+            bounds,
+            bounds[1:],
         )
         # the ranges ascend and min keeps the first minimum: ties keep the lowest index
         best_val, best_idx = min(partials, key=lambda partial: partial[0])

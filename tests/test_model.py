@@ -153,12 +153,27 @@ def test_appliance_invariant_rejections():
     a.Appliance("ok", np.int64(0), np.int64(23), np.int64(2), (1.0, 1.0))  # numpy ints are integers
 
 
+def test_numpy_integers_are_stored_as_ints(two_tier_coefficients):
+    """A horizon is any integer an appliance window may be. Both are stored
+    as plain ints, so the instance still serializes."""
+    ok = a.Appliance.constant("ok", 0, 5, 2, 1.0)
+    numpy_ok = a.Appliance.constant("ok", np.int64(0), np.int32(5), np.int64(2), 1.0)
+    inst = a.ProblemInstance(np.int64(24), [numpy_ok], two_tier_coefficients)
+    assert type(inst.horizon) is int and inst.horizon == 24
+    assert all(type(getattr(numpy_ok, key)) is int for key in ("window_start", "window_end", "duration"))
+    assert a.parse_instance(a.serialize_instance(inst)) == a.ProblemInstance(
+        24, [ok], two_tier_coefficients
+    )
+
+
 def test_instance_invariant_rejections(two_tier_coefficients):
     ok = a.Appliance.constant("ok", 0, 5, 2, 1.0)
     with pytest.raises(InvalidInstanceError):
         a.ProblemInstance(1, [ok], (0.2,))  # horizon too small
     with pytest.raises(InvalidInstanceError, match="horizon must be an integer"):
         a.ProblemInstance(24.0, [ok], two_tier_coefficients)
+    with pytest.raises(InvalidInstanceError, match="horizon must be an integer, got True"):
+        a.ProblemInstance(True, [ok], (0.2,))
     with pytest.raises(InvalidInstanceError, match=re.escape("horizon must be in [2, 1440]")):
         a.ProblemInstance(1441, [ok], (0.2,) * 1441)
     with pytest.raises(InvalidInstanceError, match=re.escape("window_end must be in [1, 46]")):

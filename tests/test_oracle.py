@@ -81,21 +81,26 @@ def kernel_instances():
 #: a block cap that cuts the kernel instances into many blocks; under it
 #: some fit one block whole and the last user with 39 starts exceeds it
 SMALL_BLOCK = 30
+#: prefix rows per chunk under the small geometries, so scans cross chunks
+SMALL_CHUNK = 5
 
-#: (suffix cap, block size) pairs: the defaults; both at SMALL_BLOCK, so a
-#: block holds one prefix row or a few; and the suffix at SMALL_BLOCK under
-#: blocks several times larger, so a block holds several prefix rows even
-#: where the last user alone exceeds the suffix cap
+#: (suffix cap, block size, chunk rows, joint starts) tuples: the defaults;
+#: suffix and block at SMALL_BLOCK, so a block holds one prefix row or a
+#: few; and the suffix at SMALL_BLOCK under blocks several times larger, so
+#: a block holds several prefix rows even where the last user alone exceeds
+#: the suffix cap, with no heavy users in the PAR bound
 GEOMETRIES = [
-    (_kernels._SUFFIX_CAP, _kernels._BLOCK),
-    (SMALL_BLOCK, SMALL_BLOCK),
-    (SMALL_BLOCK, 4 * SMALL_BLOCK),
+    (_kernels._SUFFIX_CAP, _kernels._BLOCK, _kernels._CHUNK, _kernels._JOINT),
+    (SMALL_BLOCK, SMALL_BLOCK, SMALL_CHUNK, _kernels._JOINT),
+    (SMALL_BLOCK, 4 * SMALL_BLOCK, SMALL_CHUNK, 1),
 ]
 
 
-def set_geometry(monkeypatch, suffix_cap, block):
+def set_geometry(monkeypatch, suffix_cap, block, chunk=_kernels._CHUNK, joint=_kernels._JOINT):
     monkeypatch.setattr(_kernels, "_SUFFIX_CAP", suffix_cap)
     monkeypatch.setattr(_kernels, "_BLOCK", block)
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    monkeypatch.setattr(_kernels, "_JOINT", joint)
 
 
 def test_placement_table_rows_are_the_flow_columns():
@@ -167,8 +172,8 @@ def test_numpy_kernel_matches_sequential_kernel(objective, monkeypatch):
     """The numpy kernel against the plain-Python reference, under each
     of GEOMETRIES, on ranges that start and end inside a block, and on
     empty and reversed ranges, which give (inf, -1)."""
-    for cap, block_cap in GEOMETRIES:
-        set_geometry(monkeypatch, cap, block_cap)
+    for cap, block_cap, chunk, joint in GEOMETRIES:
+        set_geometry(monkeypatch, cap, block_cap, chunk, joint)
         for inst in kernel_instances():
             table = a.PlacementTable(inst)
             args = (table, objective)
@@ -187,7 +192,7 @@ def test_numpy_kernel_matches_sequential_kernel(objective, monkeypatch):
                 expected = _kernels.scan_range(lo, hi, *args)
                 if lo >= hi:
                     assert expected == (np.inf, -1)
-                assert scan_range_sequential(lo, hi, *args) == expected, (cap, block_cap, inst, lo, hi)
+                assert scan_range_sequential(lo, hi, *args) == expected, (cap, block_cap, chunk, inst, lo, hi)
 
 
 def tied_instances(count):
@@ -209,23 +214,50 @@ def tied_instances(count):
         yield a.ProblemInstance(8, users, (1.0,) * 8)
 
 
+def regrouping_instances():
+    """H = 8 instances with decimal levels, found by search, whose slot sums
+    depend on grouping (0.3 + (0.2 + 0.1) rounds above (0.3 + 0.2) + 0.1).
+    A PAR bound that adds the heavy users' rows to each other before the
+    prefix loads rounds up by an ulp at the row holding the first minimum,
+    which a later row ties exactly, so it skips that row."""
+    return [
+        a.ProblemInstance(8, users, (1.0,) * 8)
+        for users in (
+            [
+                a.Appliance("u0", 6, 11, 2, (0.3, 0.2)),
+                a.Appliance("u1", 4, 6, 3, (0.3, 0.1, 0.2)),
+                a.Appliance("u2", 3, 6, 2, (0.3, 0.1)),
+                a.Appliance("u3", 2, 6, 1, (0.3,)),
+                a.Appliance("u4", 3, 5, 3, (0.3, 0.3, 0.1)),
+            ],
+            [
+                a.Appliance("u0", 2, 6, 3, (0.2, 0.2, 0.1)),
+                a.Appliance("u1", 3, 5, 3, (0.3, 0.1, 0.3)),
+                a.Appliance("u2", 2, 5, 3, (0.6, 0.1, 0.1)),
+                a.Appliance("u3", 3, 10, 1, (0.3,)),
+            ],
+        )
+    ]
+
+
 @pytest.mark.parametrize("objective", [COST, PAR], ids=["cost", "par"])
 def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
-    """The scan, which skips prefix rows whose bound cannot beat the range's
-    best (for cost, cannot make the candidate cut), against the plain-Python
-    reference that scores every schedule: under each of GEOMETRIES, on the
-    whole range and on ranges that start and end inside a prefix row or a
-    block. For PAR, any slack in the bound, or an incumbent replaced on a
-    tie, moves a value or an index; for cost, the separable block scores,
+    """The scan, which skips prefix rows whose bound cannot beat the
+    incumbent (for cost, cannot make the candidate cut), against the
+    plain-Python reference that scores every schedule: under each of
+    GEOMETRIES, on the whole range and on ranges that start and end inside
+    a prefix row or a block. For PAR, any slack in a bound, the joint bound
+    of the heavy users included, or an incumbent replaced on a tie, moves a
+    value or an index; for cost, the separable block scores,
     the cut and the skip meet exact ties and near-ties that differ in their
     last bits, and the re-scored candidates must still hold the first
     canonical minimum."""
-    for inst in tied_instances(200):
+    for inst in [*tied_instances(200), *regrouping_instances()]:
         table = a.PlacementTable(inst)
         total = a.enumeration_size(inst)
         expected = {}
-        for cap, block_cap in GEOMETRIES:
-            set_geometry(monkeypatch, cap, block_cap)
+        for cap, block_cap, chunk, joint in GEOMETRIES:
+            set_geometry(monkeypatch, cap, block_cap, chunk, joint)
             _, size = _kernels._split_point(table.radices)
             block = size * max(1, block_cap // size)
             ranges = [
@@ -237,14 +269,14 @@ def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
                 if (lo, hi) not in expected:
                     expected[lo, hi] = scan_range_sequential(lo, hi, table, objective)
                 got = _kernels.scan_range(lo, hi, table, objective)
-                assert got == expected[lo, hi], (cap, block_cap, inst, lo, hi)
+                assert got == expected[lo, hi], (cap, block_cap, chunk, joint, inst, lo, hi)
 
 
 def test_small_block_cap_reaches_every_scan_path(monkeypatch):
     """With suffix cap and block size at SMALL_BLOCK, the kernel instances
     take the one scan path with an empty prefix, with a last user whose
-    starts alone exceed the cap, and with blocks of one and of several
-    prefix rows. Blocks four times larger keep every split and give each
+    starts alone exceed the cap, with blocks of one and of several prefix
+    rows, and with more prefix rows than a SMALL_CHUNK chunk holds. Blocks four times larger keep every split and give each
     instance with a prefix several prefix rows per block, the one whose last
     user exceeds the suffix cap included."""
     set_geometry(monkeypatch, SMALL_BLOCK, SMALL_BLOCK)
@@ -253,6 +285,8 @@ def test_small_block_cap_reaches_every_scan_path(monkeypatch):
     assert any(size > SMALL_BLOCK for _, size in splits)
     rows = {max(1, SMALL_BLOCK // size) for m, size in splits if m > 0}
     assert 1 in rows and max(rows) > 1
+    prefix_rows = [a.enumeration_size(inst) // size for inst, (_, size) in zip(kernel_instances(), splits)]
+    assert max(prefix_rows) > SMALL_CHUNK
 
     set_geometry(monkeypatch, SMALL_BLOCK, 4 * SMALL_BLOCK)
     wide = [_kernels._split_point(a.PlacementTable(inst).radices) for inst in kernel_instances()]
@@ -324,6 +358,39 @@ def test_concurrent_scans_keep_their_own_suffix_tables():
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected[k % 2] for k in range(8)]
+
+
+def n6_mix():
+    """The benchmark's seed-1 N=6 mix under the default prices: 9.6M
+    schedules, of which many tie at the PAR optimum."""
+    keys = ["dish_washer", "dish_washer", "phev", "dish_washer", "washing_machine_energy_star", "phev"]
+    return a.ProblemInstance(24, [a.catalog_appliance(k) for k in keys], a.default_cost_coefficients())
+
+
+def outcome(result):
+    return float.hex(result.objective_value), result.schedule, result.evaluations
+
+
+def test_shared_incumbent_keeps_the_one_range_result():
+    """Ranges that share one incumbent, every scan cut into 2-7 ranges on
+    more threads than cores, under a short thread switch interval, so that
+    a range reads or lowers the incumbent at any point of another's block
+    loop. On instances where many schedules tie, the merged value, schedule
+    and evaluation count must be those of a one-range scan."""
+    dish_washer = a.catalog_appliance("dish_washer")
+    flat = [a.ProblemInstance(24, [dish_washer] * k, (0.25,) * 24) for k in (3, 4)]
+    interval = sys.getswitchinterval()
+    try:
+        with patch.object(oracle, "_MIN_PARALLEL_SIZE", 1), ThreadPoolExecutor(1) as pool:
+            sys.setswitchinterval(1e-6)
+            for inst in [*flat, n6_mix()]:
+                for objective in (COST, PAR):
+                    expected = outcome(a.brute_force(inst, objective, workers=1))
+                    for workers in range(2, 8):
+                        future = pool.submit(a.brute_force, inst, objective, workers=workers)
+                        assert outcome(future.result(timeout=120)) == expected, (inst, objective, workers)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @st.composite

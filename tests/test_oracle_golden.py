@@ -17,7 +17,7 @@ import pytest
 
 import atomsched as a
 from atomsched import _kernels
-from test_oracle import kernel_instances
+from test_oracle import kernel_instances, n6_mix
 
 GOLDEN = pathlib.Path(__file__).with_name("data") / "oracle_golden.json"
 OBJECTIVES = ["cost", "par"]
@@ -25,12 +25,14 @@ OBJECTIVES = ["cost", "par"]
 
 def instances():
     """Every kernel cross-check instance, worst5 (23^5 schedules, every one
-    a near-tie) and two N=6 generated instances."""
+    a near-tie), two N=6 generated instances and the benchmark's seed-1
+    N=6 mix (9.6M schedules)."""
     cases = {f"kernel-{k}": inst for k, inst in enumerate(kernel_instances())}
     dish_washer = a.catalog_appliance("dish_washer")
     cases["worst5"] = a.ProblemInstance(24, [dish_washer] * 5, a.default_cost_coefficients())
     for seed in (2, 3):
         cases[f"gen-6-{seed}"] = a.generate_instance(6, seed)
+    cases["n6-mix"] = n6_mix()
     return cases
 
 
@@ -65,10 +67,9 @@ def test_oracle_matches_golden_run(case, objective, workers):
         assert got[key] == expected[key], key
 
 
-def scored_rows(monkeypatch, scorer, case, objective, workers):
-    """Run ``case`` through ``brute_force`` counting the prefix rows the
-    block scorer ``scorer`` of ``_kernels`` is given, check the golden
-    result, and return the rows scored and the prefix rows covered."""
+def counted_rows(monkeypatch, scorer):
+    """A list that collects the number of prefix rows each call of the
+    block scorer ``scorer`` of ``_kernels`` is given."""
     score, scored = getattr(_kernels, scorer), []
 
     def counting(prefix, *args):
@@ -76,12 +77,37 @@ def scored_rows(monkeypatch, scorer, case, objective, workers):
         return score(prefix, *args)
 
     monkeypatch.setattr(_kernels, scorer, counting)
+    return scored
+
+
+def scored_rows(monkeypatch, scorer, case, objective, workers):
+    """Run ``case`` through ``brute_force`` counting the prefix rows the
+    block scorer ``scorer`` of ``_kernels`` is given, check the golden
+    result, and return the rows scored and the prefix rows covered."""
+    scored = counted_rows(monkeypatch, scorer)
     instance = instances()[case]
     got, expected = run(instance, objective, workers), _expected()[(case, objective)]
     for key in ("objective_value", "schedule", "evaluations"):
         assert got[key] == expected[key], key
     _, size = _kernels._split_point(a.PlacementTable(instance).radices)
     return sum(scored), got["evaluations"] // size
+
+
+def test_joint_bound_scores_few_par_rows(monkeypatch):
+    """One PAR range bounds each row by the heaviest suffix users placed
+    jointly and takes rows in bound order: it scores at most 10 of the N=6
+    mix's 529 prefix rows (28 under the prefix-peak bound alone) and under
+    1% of the 10,164 of ``generate_instance(7, 1)`` (1,938 before)."""
+    scored, covered = scored_rows(monkeypatch, "_block_peaks", "n6-mix", "par", 1)
+    assert covered == 529 and 0 < scored <= 10
+    scored = counted_rows(monkeypatch, "_block_peaks")
+    instance = a.generate_instance(7, 1)
+    result = a.brute_force(instance, a.ObjectiveKind.PAR, limit=10**9, workers=1)
+    assert float.hex(result.objective_value) == "0x1.5cd9271abf2dep+1"
+    assert result.schedule == (4, 4, 4, 22, 4, 6, 1)
+    _, size = _kernels._split_point(a.PlacementTable(instance).radices)
+    assert result.evaluations // size == 10_164
+    assert 0 < 100 * sum(scored) < 10_164
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -97,7 +123,7 @@ def test_pruned_par_scan_matches_golden_run(case, workers, monkeypatch):
 @pytest.mark.parametrize("case", ["worst5", "gen-6-3"])
 def test_pruned_cost_scan_matches_golden_run(case, workers, monkeypatch):
     """The cost scan skips prefix rows (on worst5, over 40% of those it
-    covers; 254 of 529 are scored at one worker) and still gives the golden
+    covers; 252 of 529 are scored at one worker) and still gives the golden
     result, so a scan that stops skipping rows fails."""
     scored, covered = scored_rows(monkeypatch, "_block_costs", case, "cost", workers)
     assert 0 < scored < covered
