@@ -12,20 +12,11 @@ from .errors import (
     AtomschedError,
     InfeasibleFlowError,
     InvalidInstanceError,
-    NotIntegralError,
     ParseError,
     SolverError,
     TooLargeError,
 )
-from .flows import (
-    PlacementTable,
-    flows_to_schedule,
-    load_profile,
-    load_profile_from_schedule,
-    schedule_to_flows,
-    validate_flows,
-    validate_schedule,
-)
+from .flows import PlacementTable
 from .iofmt import (
     parse_instance,
     read_instance_file,
@@ -39,18 +30,14 @@ from .model import (
     Appliance,
     ProblemInstance,
     enumeration_size,
-    feasible_starts,
     instance_total_energy,
     start_sets,
-    total_daily_energy,
 )
 from .objectives import (
     ObjectiveKind,
     cost_gradient,
     cost_hessian,
     default_cost_coefficients,
-    energy_cost,
-    par,
 )
 from .oracle import DEFAULT_LIMIT, OracleResult, brute_force, resolve_workers
 from .relaxation import RelaxedSolution, par_ratio_from_peak, solve_relaxed

@@ -21,14 +21,6 @@ class InfeasibleFlowError(AtomschedError):
     """A flow configuration violates the relaxed feasibility constraints."""
 
 
-class NotIntegralError(AtomschedError):
-    """A flow configuration has a fractional row where a 0/1 row was required."""
-
-    def __init__(self, user: int, message: str):
-        self.user = user
-        super().__init__(message)
-
-
 class TooLargeError(AtomschedError):
     """Exhaustive enumeration would exceed the evaluation limit."""
 

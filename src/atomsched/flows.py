@@ -1,4 +1,4 @@
-"""Flow configurations over start slots, and load-profile evaluation.
+"""Flow configurations over start slots, and their placement table.
 
 A flow configuration is an ``(n_users, horizon)`` float matrix whose entry
 ``(n, s)`` is the flow user n sends on the start slot s. A Boolean (one-hot)
@@ -9,7 +9,9 @@ supported on the user's feasible start set.
 The flow variables are the feasible (user, start) pairs. One
 :class:`PlacementTable`, built per call and shared by every layer, is the
 only map from a pair to its column, and its load row per column is the one
-source of every "place user n's pattern at start s" result.
+source of every "place user n's pattern at start s" result: a schedule's
+load is :meth:`PlacementTable.schedule_loads`, a flow matrix's is
+:meth:`PlacementTable.flow_loads` after :func:`check_flows`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleFlowError, InvalidInstanceError, NotIntegralError
+from .errors import InfeasibleFlowError, InvalidInstanceError
 from .model import ProblemInstance, instance_total_energy, start_sets
 
 #: Absolute tolerance for row sums and out-of-window zeros. Interior-point
@@ -140,36 +142,20 @@ class PlacementTable:
         return self.rows[self.schedule_columns(schedule)].sum(axis=0)
 
 
-def validate_schedule(instance: ProblemInstance, schedule: Sequence[int]) -> tuple[int, ...]:
-    """Check one integer start per user, each inside its feasible start set."""
-    table = PlacementTable(instance)
-    return tuple(table.starts[table.schedule_columns(schedule)].tolist())
+def check_flows(flows: np.ndarray, feasible: np.ndarray, tol: float) -> np.ndarray:
+    """Validate relaxed feasibility against a feasible mask, such as a
+    table's, and return the matrix as floats.
 
-
-def _flow_matrix(flows: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    f = np.asarray(flows, dtype=np.float64)
-    if f.shape != shape:
-        raise InfeasibleFlowError(f"flow matrix shape {f.shape}, expected {shape}")
-    if not np.all(np.isfinite(f)):
-        raise InfeasibleFlowError("flow matrix contains non-finite entries")
-    return f
-
-
-def validate_flows(
-    instance: ProblemInstance, flows: np.ndarray, tol: float = FEASIBILITY_TOL
-) -> np.ndarray:
-    """Validate relaxed feasibility and return the matrix.
-
-    Raises InfeasibleFlowError for the first user whose row has, checked in
+    Raises InfeasibleFlowError for a matrix of another shape or with
+    non-finite entries, and else for the first user whose row has, checked in
     this order, an entry above ``tol`` outside the feasible start set, an
     entry outside [0, 1] by more than ``tol``, or a sum off 1 by more than ``tol``.
     """
-    return check_flows(flows, PlacementTable(instance).feasible, tol)
-
-
-def check_flows(flows: np.ndarray, feasible: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`validate_flows` against a feasible mask, such as a table's."""
-    f = _flow_matrix(flows, feasible.shape)
+    f = np.asarray(flows, dtype=np.float64)
+    if f.shape != feasible.shape:
+        raise InfeasibleFlowError(f"flow matrix shape {f.shape}, expected {feasible.shape}")
+    if not np.all(np.isfinite(f)):
+        raise InfeasibleFlowError("flow matrix contains non-finite entries")
     outside = np.where(feasible, 0.0, np.abs(f))
     low, high = f.min(axis=1), f.max(axis=1)
     totals = np.where(feasible, f, 0.0).sum(axis=1)
@@ -188,51 +174,3 @@ def check_flows(flows: np.ndarray, feasible: np.ndarray, tol: float) -> np.ndarr
         )
         raise InfeasibleFlowError(f"user {n}: {messages[int(np.argmax(failed[:, n]))]}")
     return f
-
-
-def schedule_to_flows(instance: ProblemInstance, schedule: Sequence[int]) -> np.ndarray:
-    """One-hot flow matrix for a feasible schedule."""
-    starts = validate_schedule(instance, schedule)
-    f = np.zeros((instance.n_users, instance.horizon))
-    f[np.arange(instance.n_users), starts] = 1.0
-    return f
-
-
-def flows_to_schedule(instance: ProblemInstance, flows: np.ndarray) -> tuple[int, ...]:
-    """Recover the schedule from a (near-)Boolean flow matrix.
-
-    The first user whose row is not one-hot at a feasible start raises
-    NotIntegralError if the row is fractional, else InfeasibleFlowError.
-    """
-    f = _flow_matrix(flows, (instance.n_users, instance.horizon))
-    starts = f.argmax(axis=1)
-    one_hot = one_hot_rows(f)
-    failed = ~(one_hot & PlacementTable(instance).feasible[np.arange(len(f)), starts])
-    if failed.any():
-        n = int(np.argmax(failed))
-        s = int(starts[n])
-        if not one_hot[n]:
-            raise NotIntegralError(
-                n, f"user {n}: row is fractional (max entry {float(f[n, s])!r} at start {s})"
-            )
-        raise InfeasibleFlowError(f"user {n}: integral flow sits at infeasible start {s}")
-    return tuple(starts.tolist())
-
-
-def load_profile(
-    instance: ProblemInstance, flows: np.ndarray, tol: float = FEASIBILITY_TOL
-) -> np.ndarray:
-    """Per-slot total load (kWh) induced by a relaxed-feasible flow matrix.
-
-    Each unit of flow at (n, s) deposits the user's energy pattern on the
-    ``duration`` slots starting at s (wrapping modulo the horizon).
-    """
-    table = PlacementTable(instance)
-    return table.flow_loads(check_flows(flows, table.feasible, tol))
-
-
-def load_profile_from_schedule(
-    instance: ProblemInstance, schedule: Sequence[int]
-) -> np.ndarray:
-    """Per-slot total load for a concrete schedule (one start per user)."""
-    return PlacementTable(instance).schedule_loads(schedule)

@@ -159,30 +159,24 @@ class ProblemInstance:
         return len(self.appliances)
 
 
-def total_daily_energy(appliance: Appliance) -> float:
-    """Total kWh the appliance draws over one full operation."""
-    return float(sum(appliance.energy_pattern))
-
-
 def instance_total_energy(instance: ProblemInstance) -> float:
-    return float(sum(total_daily_energy(a) for a in instance.appliances))
-
-
-def feasible_starts(appliance: Appliance, horizon: int) -> tuple[int, ...]:
-    """All slots where the operation can begin and still fit in its window.
-
-    Ordered by the pre-modulo index, so a window spanning midnight yields
-    e.g. (22, 23, 0, 1, ...) rather than sorted slot order.
-    """
-    validate_appliance(appliance, horizon)
-    last = appliance.window_end - appliance.duration + 1
-    return tuple(i % horizon for i in range(appliance.window_start, last + 1))
+    """Total kWh all appliances draw over one full operation each."""
+    return float(sum(sum(a.energy_pattern) for a in instance.appliances))
 
 
 @lru_cache(maxsize=256)
 def start_sets(instance: ProblemInstance) -> tuple[tuple[int, ...], ...]:
-    """Feasible start tuple for every appliance, in user order."""
-    return tuple(feasible_starts(a, instance.horizon) for a in instance.appliances)
+    """Feasible start tuple for every appliance, in user order: all slots
+    where the operation can begin and still fit in its window.
+
+    Ordered by the pre-modulo index, so a window spanning midnight yields
+    e.g. (22, 23, 0, 1, ...) rather than sorted slot order.
+    """
+    horizon = instance.horizon
+    return tuple(
+        tuple(i % horizon for i in range(a.window_start, a.window_end - a.duration + 2))
+        for a in instance.appliances
+    )
 
 
 def enumeration_size(instance: ProblemInstance) -> int:

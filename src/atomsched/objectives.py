@@ -11,7 +11,6 @@ import enum
 
 import numpy as np
 
-from .errors import InvalidInstanceError
 from .flows import FEASIBILITY_TOL, PlacementTable, check_flows
 from .model import ProblemInstance
 
@@ -44,38 +43,6 @@ def score_loads(
     if objective is ObjectiveKind.COST:
         return np.add.accumulate(coefficients * loads * loads, axis=-1)[..., -1]
     return loads.shape[-1] * loads.max(axis=-1) / total_energy
-
-
-def energy_cost(loads: np.ndarray, coefficients: np.ndarray) -> float:
-    """Total cost in cents of a load profile under quadratic slot pricing.
-
-    The terms are added slot by slot from slot 0 (:func:`score_loads`), an
-    order no BLAS kernel can change, so SCR's upper bound and the oracle's
-    optimum agree bit for bit whenever they name the same schedule.
-    """
-    loads = np.asarray(loads, dtype=np.float64)
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    if loads.shape != coefficients.shape:
-        raise InvalidInstanceError(
-            f"load profile has {loads.shape[0]} slots but there are "
-            f"{coefficients.shape[0]} cost coefficients"
-        )
-    return float(score_loads(ObjectiveKind.COST, loads, coefficients, None))
-
-
-def par(loads: np.ndarray, total_energy: float, horizon: int) -> float:
-    """Peak-to-average ratio of a load profile.
-
-    ``total_energy`` is the daily energy of all users (kWh), which is fixed by
-    the instance, so PAR and peak load are equivalent objectives. It must be
-    finite and > 0, and ``horizon`` must be the profile's slot count.
-    """
-    if not 0.0 < total_energy < np.inf:
-        raise InvalidInstanceError(f"total energy must be finite and > 0, got {total_energy!r}")
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.shape != (horizon,):
-        raise InvalidInstanceError(f"load profile has shape {loads.shape}, horizon {horizon}")
-    return float(score_loads(ObjectiveKind.PAR, loads, None, total_energy))
 
 
 def cost_gradient(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 import atomsched as a
+from atomsched.objectives import score_loads
 
 
 @pytest.fixture
@@ -36,6 +37,13 @@ def random_relaxed_flows(instance, rng):
     for n, starts in enumerate(a.start_sets(instance)):
         flows[n, list(starts)] = rng.dirichlet(np.ones(len(starts)))
     return flows
+
+
+def schedule_value(instance, objective, schedule):
+    """The objective of one schedule, as SCR and the oracle score it."""
+    table = a.PlacementTable(instance)
+    loads = table.schedule_loads(schedule)
+    return score_loads(objective, loads, table.coefficients, table.total_energy)
 
 
 # hypothesis strategies for random instances

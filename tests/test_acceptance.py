@@ -15,6 +15,8 @@ import pytest
 
 import atomsched as a
 from atomsched.cli import main as cli_main
+from atomsched.flows import FEASIBILITY_TOL, check_flows
+from atomsched.objectives import score_loads
 
 from conftest import random_relaxed_flows
 
@@ -114,16 +116,15 @@ def test_criterion_04_gradient_check():
         step = 1e-5
         for n, seed in ((2, 1), (3, 2), (4, 3)):
             inst = instance(n, seed)
+            table = a.PlacementTable(inst)
             rng = np.random.default_rng(1000 + seed)
             mask = np.zeros((inst.n_users, inst.horizon), dtype=bool)
             for u, starts in enumerate(a.start_sets(inst)):
                 mask[u, list(starts)] = True
 
             def cost_at(flows):
-                return a.energy_cost(
-                    a.load_profile(inst, flows, tol=np.inf),
-                    inst.cost_coefficients,
-                )
+                loads = table.flow_loads(check_flows(flows, table.feasible, np.inf))
+                return score_loads(COST, loads, table.coefficients, None)
 
             for _ in range(50):
                 flows = random_relaxed_flows(inst, rng)
@@ -173,10 +174,11 @@ def test_criterion_06_conservation():
         for n, seed in ((2, 1), (5, 1), (10, 1)):
             inst = instance(n, seed)
             total = a.instance_total_energy(inst)
+            table = a.PlacementTable(inst)
             rng = np.random.default_rng(60 + n)
             for _ in range(1000):
                 flows = random_relaxed_flows(inst, rng)
-                loads = a.load_profile(inst, flows)
+                loads = table.flow_loads(check_flows(flows, table.feasible, FEASIBILITY_TOL))
                 assert abs(loads.sum() - total) <= 1e-9
 
 

@@ -3,9 +3,11 @@ replaced.
 
 ``reference_validate_flows`` and ``reference_select_drops`` are those loops,
 kept verbatim apart from the deleted Boolean check and from taking the drop
-set as an argument. The library must fail with the same error class, for the
-same first user and on the same check, select the same drops in the same
-order, and keep the same live columns for a drop set.
+set as an argument. The library's check,
+``check_flows(flows, PlacementTable(instance).feasible, tol)``, must fail with
+the same error class, for the same first user and on the same check; its drop
+selection must select the same drops in the same order, and keep the same
+live columns for a drop set.
 """
 
 import re
@@ -162,7 +164,8 @@ def _midnight_tie():
 def test_validate_flows_matches_reference_loop(case):
     instance, flows, tol = case
     expected = failure(lambda: reference_validate_flows(instance, flows, tol))
-    assert failure(lambda: a.validate_flows(instance, flows, tol=tol)) == expected
+    feasible = a.PlacementTable(instance).feasible
+    assert failure(lambda: flows_module.check_flows(flows, feasible, tol)) == expected
 
 
 @settings(max_examples=300, deadline=None)

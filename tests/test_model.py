@@ -8,31 +8,37 @@ import atomsched as a
 from atomsched.errors import InvalidInstanceError
 
 
+def starts_of(appliance, horizon):
+    """The appliance's start set, alone in an instance of ``horizon`` slots."""
+    return a.start_sets(a.ProblemInstance(horizon, [appliance], (0.2,) * horizon))[0]
+
+
+def energy_of(appliance):
+    """The appliance's kWh over one operation, alone in an hourly instance."""
+    return a.instance_total_energy(a.ProblemInstance(24, [appliance], (0.2,) * 24))
+
+
 def test_total_daily_energy_catalog_values():
-    assert a.total_daily_energy(a.catalog_appliance("dish_washer")) == pytest.approx(
-        1.44, abs=1e-12
-    )
-    assert a.total_daily_energy(a.catalog_appliance("phev")) == pytest.approx(
-        9.9, abs=1e-12
-    )
+    assert energy_of(a.catalog_appliance("dish_washer")) == pytest.approx(1.44, abs=1e-12)
+    assert energy_of(a.catalog_appliance("phev")) == pytest.approx(9.9, abs=1e-12)
     single = a.Appliance("tiny", 0, 5, 1, (0.5,))
-    assert a.total_daily_energy(single) == 0.5
+    assert energy_of(single) == 0.5
 
 
 def test_feasible_starts_plain_window():
     dw = a.catalog_appliance("dish_washer")
-    starts = a.feasible_starts(dw, 24)
+    starts = starts_of(dw, 24)
     assert starts == tuple(range(23))
 
 
 def test_feasible_starts_wraparound_phev():
     phev = a.catalog_appliance("phev")
-    assert a.feasible_starts(phev, 24) == (22, 23, 0, 1, 2, 3)
+    assert starts_of(phev, 24) == (22, 23, 0, 1, 2, 3)
 
 
 def test_feasible_starts_full_day_single_choice():
     full = a.Appliance.constant("allday", 0, 23, 24, 0.1)
-    assert a.feasible_starts(full, 24) == (0,)
+    assert starts_of(full, 24) == (0,)
 
 
 def _occupied(table, column):
@@ -74,7 +80,7 @@ def test_operation_range_rejects_bad_duration(two_tier_coefficients):
     )
     assert 24 not in a.PlacementTable(inst).starts.tolist()
     with pytest.raises(a.InfeasibleFlowError):
-        a.schedule_to_flows(inst, (24,))
+        a.PlacementTable(inst).schedule_columns((24,))
 
 
 def test_enumeration_size_worst_case_is_exact():
@@ -119,7 +125,7 @@ def test_start_set_size_and_window_property():
     for _ in range(300):
         horizon = int(rng.integers(2, 40))
         appl = _random_valid_appliance(rng, horizon)
-        starts = a.feasible_starts(appl, horizon)
+        starts = starts_of(appl, horizon)
         expected = appl.window_end - appl.duration - appl.window_start + 2
         assert len(starts) == expected
         window = {i % horizon for i in range(appl.window_start, appl.window_end + 1)}

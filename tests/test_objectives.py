@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 import atomsched as a
-from atomsched.errors import InvalidInstanceError
+from atomsched.flows import check_flows
+from atomsched.objectives import score_loads
 
-from conftest import random_relaxed_flows
+from conftest import random_relaxed_flows, schedule_value
+
+COST = a.ObjectiveKind.COST
+PAR = a.ObjectiveKind.PAR
 
 
 def placement_matrix(instance):
@@ -25,10 +29,10 @@ def quadratic_cost_of(instance, flows):
 
     Uses the full placement matrix, so starts outside the feasible window
     also deposit load; on (at or near) feasible flows this agrees with
-    energy_cost(load_profile(...)) because those entries are zero.
+    the cost of the table's flow loads because those entries are zero.
     """
     loads = placement_matrix(instance) @ np.asarray(flows).ravel()
-    return a.energy_cost(loads, instance.cost_coefficients)
+    return score_loads(COST, loads, np.asarray(instance.cost_coefficients), None)
 
 
 def finite_difference_gradient(cost_fn, flows, step=1e-5):
@@ -63,46 +67,23 @@ def test_default_coefficients_two_tier():
 
 
 def test_energy_cost_examples(dish_washer_instance, phev_instance):
-    loads = a.load_profile_from_schedule(dish_washer_instance, (3,))
-    cost = a.energy_cost(loads, dish_washer_instance.cost_coefficients)
+    cost = schedule_value(dish_washer_instance, COST, (3,))
     assert cost == pytest.approx(0.20736, rel=1e-12)
 
-    assert a.energy_cost(np.zeros(24), dish_washer_instance.cost_coefficients) == 0.0
+    coefficients = np.asarray(dish_washer_instance.cost_coefficients)
+    assert score_loads(COST, np.zeros(24), coefficients, None) == 0.0
 
-    loads = a.load_profile_from_schedule(phev_instance, (22,))
-    cost = a.energy_cost(loads, phev_instance.cost_coefficients)
+    cost = schedule_value(phev_instance, COST, (22,))
     assert cost == pytest.approx(8.712, rel=1e-12)
 
 
-def test_energy_cost_length_mismatch():
-    with pytest.raises(InvalidInstanceError):
-        a.energy_cost(np.zeros(24), np.zeros(23))
-
-
 def test_par_examples(dish_washer_instance, two_window_instance):
-    loads = a.load_profile_from_schedule(dish_washer_instance, (3,))
-    assert a.par(loads, a.instance_total_energy(dish_washer_instance), 24) == (
-        pytest.approx(12.0, rel=1e-12)
-    )
-    assert a.par(np.full(24, 0.7), 0.7 * 24, 24) == pytest.approx(1.0, rel=1e-12)
-    loads = a.load_profile_from_schedule(two_window_instance, (0, 9))
-    assert a.par(loads, a.instance_total_energy(two_window_instance), 24) == (
-        pytest.approx(4.8, rel=1e-12)
-    )
-
-
-def test_par_rejects_a_horizon_off_the_profile_length():
-    # a flat profile scores 1; a horizon of twice its slots would double that
-    assert a.par(np.ones(24), 24.0, 24) == 1.0
-    for loads, horizon in ((np.ones(24), 48), (np.ones(24), 12), (np.ones((2, 24)), 24)):
-        with pytest.raises(InvalidInstanceError, match="load profile"):
-            a.par(loads, 24.0, horizon)
-
-
-def test_par_rejects_zero_energy():
-    for total_energy in (0.0, np.nan, np.inf):
-        with pytest.raises(InvalidInstanceError):
-            a.par(np.zeros(24), total_energy, 24)
+    assert schedule_value(dish_washer_instance, PAR, (3,)) == pytest.approx(12.0, rel=1e-12)
+    assert score_loads(PAR, np.full(24, 0.7), None, 0.7 * 24) == pytest.approx(1.0, rel=1e-12)
+    assert schedule_value(two_window_instance, PAR, (0, 9)) == pytest.approx(4.8, rel=1e-12)
+    # the horizon is the profile's length: a flat profile scores 1 at any length
+    for horizon in (12, 24, 48):
+        assert score_loads(PAR, np.ones(horizon), None, float(horizon)) == 1.0
 
 
 def test_gradient_zero_loads(dish_washer_instance):
@@ -111,7 +92,8 @@ def test_gradient_zero_loads(dish_washer_instance):
 
 
 def test_gradient_hand_value(dish_washer_instance):
-    flows = a.schedule_to_flows(dish_washer_instance, (3,))
+    flows = np.zeros((1, 24))
+    flows[0, 3] = 1.0
     grad = a.cost_gradient(dish_washer_instance, flows)
     assert grad[0, 3] == pytest.approx(0.41472, rel=1e-12)
 
@@ -128,12 +110,12 @@ def test_gradient_matches_finite_differences():
     for seed in (1, 2):
         inst = a.generate_instance(3, seed)
         mask = in_window_mask(inst)
+        table = a.PlacementTable(inst)
 
         def through_ops(flows):
             # the spec's composition; depends only on in-window entries
-            return a.energy_cost(
-                a.load_profile(inst, flows, tol=np.inf), inst.cost_coefficients
-            )
+            loads = table.flow_loads(check_flows(flows, table.feasible, np.inf))
+            return score_loads(COST, loads, table.coefficients, None)
 
         for _ in range(10):
             flows = random_relaxed_flows(inst, rng)
@@ -240,11 +222,7 @@ def test_par_rotation_invariance():
         schedule = tuple(
             starts[rng.integers(len(starts))] for starts in a.start_sets(inst)
         )
-        base = a.par(
-            a.load_profile_from_schedule(inst, schedule),
-            a.instance_total_energy(inst),
-            horizon,
-        )
+        base = schedule_value(inst, PAR, schedule)
         shift = int(rng.integers(1, horizon))
         rotated_appliances = [
             a.Appliance(
@@ -261,9 +239,5 @@ def test_par_rotation_invariance():
             horizon, rotated_appliances, inst.cost_coefficients
         )
         rotated_schedule = tuple((s + shift) % horizon for s in schedule)
-        value = a.par(
-            a.load_profile_from_schedule(rotated, rotated_schedule),
-            a.instance_total_energy(rotated),
-            horizon,
-        )
+        value = schedule_value(rotated, PAR, rotated_schedule)
         assert value == pytest.approx(base, rel=1e-12)

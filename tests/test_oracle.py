@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import atomsched as a
 from atomsched import _kernels, oracle
 from atomsched.errors import TooLargeError
-from atomsched.model import instance_total_energy
+from atomsched.objectives import score_loads
 from conftest import PRICES, appliances
 from test_objectives import placement_matrix
 
@@ -25,14 +25,11 @@ def reference_brute_force(instance, objective):
     """Independent oracle: materialize the product, evaluate via the flow path."""
     best = None
     count = 0
-    total = instance_total_energy(instance)
+    table = a.PlacementTable(instance)
     for schedule in itertools.product(*a.start_sets(instance)):
         count += 1
-        loads = a.load_profile_from_schedule(instance, schedule)
-        if objective is COST:
-            value = a.energy_cost(loads, instance.cost_coefficients)
-        else:
-            value = a.par(loads, total, instance.horizon)
+        loads = table.schedule_loads(schedule)
+        value = score_loads(objective, loads, table.coefficients, table.total_energy)
         if best is None or value < best[0] - 1e-15:
             best = (value, schedule)
     return best[0], best[1], count
@@ -46,7 +43,7 @@ def test_matches_independent_enumeration(objective, seed):
     result = a.brute_force(inst, objective)
     assert result.objective_value == pytest.approx(expected_value, rel=1e-12)
     assert result.evaluations == expected_count == a.enumeration_size(inst)
-    a.validate_schedule(inst, result.schedule)
+    a.PlacementTable(inst).schedule_columns(result.schedule)
 
 
 def kernel_instances():
@@ -270,6 +267,40 @@ def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
                     expected[lo, hi] = scan_range_sequential(lo, hi, table, objective)
                 got = _kernels.scan_range(lo, hi, table, objective)
                 assert got == expected[lo, hi], (cap, block_cap, chunk, joint, inst, lo, hi)
+
+
+def test_cost_cut_absorbs_score_errors_within_its_rounding_budget(monkeypatch):
+    """``SharedScan.cut_factor`` is sized by a rounding proof: a block score
+    of K users over H slots may be off its exact value by a relative
+    gamma = n u / (1 - n u), n = 2K + H + 2, and so may a canonical value.
+    Here each block score is also moved by +gamma or -gamma, alternately, so
+    swapped starts of identical users, whose canonical values tie exactly,
+    get scores 2 gamma apart: inside the cut (on these instances the scan
+    stays exact up to +-4 gamma), but past a cut of 1 + (2K + H + 8) u. The
+    scan must still return the plain-Python reference's value and index
+    under each of GEOMETRIES."""
+    block_costs = _kernels._block_costs
+
+    def perturbed(*args):
+        scores = block_costs(*args)
+        signs = np.where(np.arange(scores.size) % 2, -1.0, 1.0).reshape(scores.shape)
+        return scores * (1 + gamma * signs)
+
+    monkeypatch.setattr(_kernels, "_block_costs", perturbed)
+    dish_washer = a.catalog_appliance("dish_washer")
+    for inst in (
+        a.ProblemInstance(24, [dish_washer] * 2, (0.25,) * 24),
+        a.ProblemInstance(24, [dish_washer] * 3, a.default_cost_coefficients()),
+    ):
+        n = 2 * inst.n_users + inst.horizon + 2
+        unit = np.finfo(float).eps / 2
+        gamma = n * unit / (1 - n * unit)
+        table = a.PlacementTable(inst)
+        total = a.enumeration_size(inst)
+        expected = scan_range_sequential(0, total, table, COST)
+        for geometry in GEOMETRIES:
+            set_geometry(monkeypatch, *geometry)
+            assert _kernels.scan_range(0, total, table, COST) == expected, (geometry, inst)
 
 
 def test_small_block_cap_reaches_every_scan_path(monkeypatch):

@@ -1,8 +1,9 @@
 """The scored polish against the plain per-candidate loop it replaced.
 
 ``reference_polish`` is that loop, kept verbatim apart from building each
-load profile by hand: it rebuilds the profile for every user, copies it for
-every candidate start and scores the copy. The library's polish must return
+load profile by hand and scoring it with ``objectives.score_loads``: it
+rebuilds the profile for every user, copies it for every candidate start and
+scores the copy. The library's polish must return
 exactly the same schedule on any instance.
 """
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import atomsched as a
+from atomsched.objectives import score_loads
 from conftest import PRICES, appliances
 
 
@@ -24,17 +26,20 @@ def reference_loads(instance, starts):
     return loads
 
 
+def score(instance, objective, loads):
+    coefficients = np.asarray(instance.cost_coefficients)
+    return score_loads(objective, loads, coefficients, a.instance_total_energy(instance))
+
+
 def reference_value(instance, objective, starts):
-    loads = reference_loads(instance, starts)
-    if objective is a.ObjectiveKind.COST:
-        return a.energy_cost(loads, instance.cost_coefficients)
-    return a.par(loads, a.instance_total_energy(instance), instance.horizon)
+    return score(instance, objective, reference_loads(instance, starts))
 
 
 def reference_polish(instance, objective, schedule):
     sets_ = a.start_sets(instance)
     horizon = instance.horizon
-    starts = list(a.validate_schedule(instance, schedule))
+    table = a.PlacementTable(instance)
+    starts = table.starts[table.schedule_columns(schedule)].tolist()
     moved = True
     while moved:
         moved = False
@@ -47,12 +52,7 @@ def reference_polish(instance, objective, schedule):
             for s in sets_[n]:
                 candidate = others.copy()
                 candidate[(s + np.arange(appliance.duration)) % horizon] += pattern
-                if objective is a.ObjectiveKind.COST:
-                    value = a.energy_cost(candidate, instance.cost_coefficients)
-                else:
-                    value = a.par(
-                        candidate, a.instance_total_energy(instance), horizon
-                    )
+                value = score(instance, objective, candidate)
                 if value < best_v - 1e-12:
                     best_v, best_s = value, s
             if best_s != starts[n]:

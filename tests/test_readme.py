@@ -1,10 +1,12 @@
-"""The README's examples run against the library as it is."""
+"""The README's examples run against the library as it is, and the package
+exports the public names pinned here and no others."""
 
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import atomsched as a
 
@@ -31,3 +33,34 @@ def test_instance_example_parses():
     assert kitchen.name == "dw_kitchen"
     assert kitchen.energy_pattern == (0.72, 0.72)
     assert inst.cost_coefficients == (0.2,) * 8 + (0.3,) * 16
+
+
+#: the package's public names: a new re-export must be added here, and one
+#: with no caller outside the tests should not be added at all
+PUBLIC_NAMES = {
+    # model and catalog
+    "Appliance", "ProblemInstance", "enumeration_size", "instance_total_energy",
+    "start_sets", "DEFAULT_CATALOG", "catalog_appliance", "generate_instance",
+    # instance and result files
+    "parse_instance", "read_instance_file", "serialize_instance", "write_instance_file",
+    "results_to_csv", "results_to_json", "write_results",
+    # flow variables and objectives
+    "PlacementTable", "ObjectiveKind", "cost_gradient", "cost_hessian",
+    "default_cost_coefficients",
+    # relaxation, SCR and the oracle
+    "RelaxedSolution", "par_ratio_from_peak", "solve_relaxed", "IterationRecord",
+    "SCRConfig", "SCRResult", "SweepRow", "polish_schedule", "scr_sweep",
+    "successive_convex_relaxation", "DEFAULT_LIMIT", "OracleResult", "brute_force",
+    "resolve_workers",
+    # errors
+    "AtomschedError", "InfeasibleFlowError", "InvalidInstanceError", "ParseError",
+    "SolverError", "TooLargeError",
+}
+
+
+def test_public_surface_is_pinned():
+    exported = {
+        name for name in a.__all__ if not isinstance(getattr(a, name), types.ModuleType)
+    }
+    assert len(PUBLIC_NAMES) == 40
+    assert exported == PUBLIC_NAMES

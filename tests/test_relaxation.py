@@ -7,6 +7,10 @@ import pytest
 import atomsched as a
 from atomsched import ipm, relaxation
 from atomsched.errors import InvalidInstanceError
+from atomsched.flows import check_flows, one_hot_rows
+from atomsched.objectives import score_loads
+
+from conftest import schedule_value
 
 COST = a.ObjectiveKind.COST
 PAR = a.ObjectiveKind.PAR
@@ -16,12 +20,10 @@ def test_pinned_user_yields_one_hot(two_tier_coefficients):
     # duration equals the window, so there is exactly one feasible start
     appl = a.Appliance.constant("fixed", 4, 7, 4, 0.8)
     inst = a.ProblemInstance(24, [appl], two_tier_coefficients)
-    assert a.feasible_starts(appl, 24) == (4,)
+    assert a.start_sets(inst) == ((4,),)
     sol = a.solve_relaxed(inst, COST)
     assert sol.flows[0, 4] == pytest.approx(1.0, abs=1e-8)
-    forced = a.energy_cost(
-        a.load_profile_from_schedule(inst, (4,)), inst.cost_coefficients
-    )
+    forced = schedule_value(inst, COST, (4,))
     assert sol.objective_value == pytest.approx(forced, rel=1e-7)
 
 
@@ -55,11 +57,10 @@ def test_dropping_to_single_start_forces_schedule():
         (n, s) for n, starts in enumerate(sets_) for s in starts if s != target[n]
     }
     sol = a.solve_relaxed(inst, COST, dropped)
-    forced = a.energy_cost(
-        a.load_profile_from_schedule(inst, target), inst.cost_coefficients
-    )
+    forced = schedule_value(inst, COST, target)
     assert sol.objective_value == pytest.approx(forced, rel=1e-7)
-    assert a.flows_to_schedule(inst, sol.flows) == target
+    assert one_hot_rows(sol.flows).all()
+    assert tuple(sol.flows.argmax(axis=1).tolist()) == target
 
 
 def test_drop_monotonicity():
@@ -85,19 +86,19 @@ def test_dropped_entries_are_exactly_zero():
         sol = a.solve_relaxed(inst, objective, dropped)
         for n, s in dropped:
             assert sol.flows[n, s] == 0.0
-        a.validate_flows(inst, sol.flows, tol=1e-6)
+        check_flows(sol.flows, a.PlacementTable(inst).feasible, 1e-6)
 
 
 def test_objective_reproducible_from_flows():
     for seed in (1, 5):
         inst = a.generate_instance(4, seed)
+        table = a.PlacementTable(inst)
         sol = a.solve_relaxed(inst, COST)
-        recomputed = a.energy_cost(
-            a.load_profile(inst, sol.flows, tol=1e-6), inst.cost_coefficients
-        )
+        loads = table.flow_loads(check_flows(sol.flows, table.feasible, 1e-6))
+        recomputed = score_loads(COST, loads, table.coefficients, None)
         assert recomputed == pytest.approx(sol.objective_value, rel=1e-6)
         par_sol = a.solve_relaxed(inst, PAR)
-        loads = a.load_profile(inst, par_sol.flows, tol=1e-6)
+        loads = table.flow_loads(check_flows(par_sol.flows, table.feasible, 1e-6))
         assert loads.max() == pytest.approx(par_sol.objective_value, rel=1e-6)
 
 
@@ -161,6 +162,18 @@ def test_solver_failure_raises_solver_error(objective):
 
     with patch.object(relaxation, "solve_standard_form", negative_flow):
         with pytest.raises(a.SolverError, match="solver returned infeasible flows"):
+            a.solve_relaxed(inst, objective)
+
+    def slightly_negative_flow(x0, **problem):
+        # columns 0 and 1 are user 0's: its row still sums to 1, and only the
+        # entry of -1e-5, past the 1e-6 tolerance but within 1e-3, breaks feasibility
+        x = x0.copy()
+        x[1] += x[0] + 1e-5
+        x[0] = -1e-5
+        return ipm.IpmResult(x, np.zeros(0), np.zeros(0), 0.0, 0, "optimal")
+
+    with patch.object(relaxation, "solve_standard_form", slightly_negative_flow):
+        with pytest.raises(a.SolverError, match=r"outside \[0, 1\] \(min -1e-05"):
             a.solve_relaxed(inst, objective)
 
 

@@ -6,6 +6,9 @@ import pytest
 
 import atomsched as a
 from atomsched import _kernels, scr
+from atomsched.flows import one_hot_rows
+
+from conftest import schedule_value
 
 COST = a.ObjectiveKind.COST
 PAR = a.ObjectiveKind.PAR
@@ -24,7 +27,7 @@ def test_single_appliance_reaches_optimum(key, objective, two_tier_coefficients)
     optimum = a.brute_force(inst, objective)
     assert result.upper_bound == pytest.approx(optimum.objective_value, abs=1e-9)
     assert result.lower_bound <= optimum.objective_value + 1e-6
-    assert result.schedule[0] in a.feasible_starts(inst.appliances[0], 24)
+    assert result.schedule[0] in a.start_sets(inst)[0]
 
 
 @pytest.mark.parametrize("n_d", [1, 2, 5, 10])
@@ -141,7 +144,7 @@ def test_result_invariants_and_trace():
         # drop history matches the per-iteration records
         flattened = [d for record in result.trace for d in record.dropped]
         assert tuple(flattened) == result.drop_history
-        a.validate_schedule(inst, result.schedule)
+        a.PlacementTable(inst).schedule_columns(result.schedule)
 
 
 def test_determinism_repeated_runs():
@@ -190,8 +193,9 @@ def test_polish_only_improves():
     polished = a.successive_convex_relaxation(inst, COST)
     # the dropping loop alone ends at the final round's integral schedule
     final = a.solve_relaxed(inst, COST, polished.drop_history).flows
-    raw = a.flows_to_schedule(inst, final)
-    raw_upper = a.energy_cost(a.load_profile_from_schedule(inst, raw), inst.cost_coefficients)
+    assert one_hot_rows(final).all()
+    raw = tuple(final.argmax(axis=1).tolist())
+    raw_upper = schedule_value(inst, COST, raw)
     assert polished.upper_bound <= raw_upper + 1e-12
     raw_lower = a.solve_relaxed(inst, COST).objective_value
     assert raw_lower == pytest.approx(polished.lower_bound, rel=1e-9)
@@ -205,12 +209,8 @@ def test_polish_schedule_descends_to_local_optimum():
     sets_ = a.start_sets(inst)
     worst = tuple(starts[0] for starts in sets_)
     polished = a.polish_schedule(inst, COST, worst)
-    before = a.energy_cost(
-        a.load_profile_from_schedule(inst, worst), inst.cost_coefficients
-    )
-    after = a.energy_cost(
-        a.load_profile_from_schedule(inst, polished), inst.cost_coefficients
-    )
+    before = schedule_value(inst, COST, worst)
+    after = schedule_value(inst, COST, polished)
     assert after <= before
     assert a.polish_schedule(inst, COST, polished) == polished
 
