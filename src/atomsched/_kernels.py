@@ -2,9 +2,8 @@
 
 Joint schedules are indexed in mixed-radix order (user 0 is the most
 significant digit; digit k of user n selects the user's k-th feasible start
-in window order). ``scan_range`` returns the minimum objective over an index
-range and the first index attaining it, which makes range splits merge
-deterministically.
+in window order). ``scan_range`` offers a scan's ``SharedScan`` the
+minimum objective over an index range and the first index attaining it.
 
 The kernel never places a pattern itself. It reads the instance's
 ``flows.PlacementTable``: digit k of user n selects row k of the user's
@@ -35,19 +34,19 @@ terms left out, so it is never above it, and the bound is at most each of
 the row's values as computed. Pre-summing the heavy rows would not keep
 this order and could exceed a canonical sum by an ulp.
 
-The ranges of one scan share a ``SharedScan``: the suffix tables, built
-once, and the incumbent, the lowest (value, index) pair any range has
-re-scored, read before each block and lowered under a lock. A cost row is
-skipped when its bound is past the candidate cut of the incumbent's value,
-so its canonical values are all above it; a cost block is skipped when its
-lowest score is. A PAR row is skipped when its bound is above the
-incumbent's value, or equal to it with no schedule before the incumbent's
-index, since a tie goes to the lower index. A range returns the lowest
-(value, index) pair among the schedules it re-scored. The range holding
-the first minimum over all ranges never skips it and returns it, and every
-range below returns a higher value, so the merged result does not depend
-on the worker count or on timing; only the work done, which rows each
-range skips, does.
+The ranges of one scan share a ``SharedScan``: the table, the objective,
+the suffix tables, built once, and the incumbent ``best``, which is the
+scan's answer. Each re-scored block offers its first canonical minimum,
+and ``best`` keeps the least (value, index) pair offered. Ranges read it
+before each block: a cost row is skipped when its bound is past the
+candidate cut of the incumbent's value, so its canonical values are all
+above it; a cost block is skipped when its lowest score is. A PAR row is
+skipped when its bound is above the incumbent's value, or equal to it with
+no schedule before the incumbent's index, since a tie goes to the lower
+index. So the range holding the first minimum over the whole scan never
+skips it and offers it, and ``best`` ends at that pair whatever the worker
+count, the timing or the order the ranges run in; only the work done,
+which rows each range skips, depends on them.
 
 ``_SUFFIX_CAP`` bounds the suffix, a block's row width; the cost path keeps
 one float per suffix schedule. ``_BLOCK`` bounds a block, which takes as
@@ -67,9 +66,10 @@ schedule's value is bit-identical to a plain per-schedule loop that sums
 the rows in user order, and the scan result does not depend on how the
 range was partitioned.
 
-An empty range (hi <= lo) gives (inf, -1). The module holds no mutable
-state and a ``SharedScan`` changes only under its lock, so scans may run at
-once on any number of threads.
+An empty range (hi <= lo) offers nothing, and ``best`` is (inf, -1) until
+a range offers a pair. The module holds no mutable state and a
+``SharedScan`` changes only under its lock, so scans may run at once on any
+number of threads.
 """
 
 from __future__ import annotations
@@ -118,10 +118,12 @@ def _split_point(radices):
 
 class SharedScan:
     """What the ranges of one scan of ``table`` under ``objective`` share:
-    the suffix tables, built once, and the incumbent ``best``, the lowest
-    (value, index) pair any range has re-scored (``offer``)."""
+    the suffix tables, built once, and the incumbent ``best``, the least
+    (value, index) pair any range has offered, which is the scan's
+    answer once every range has finished."""
 
     def __init__(self, table: PlacementTable, objective: ObjectiveKind):
+        self.table, self.objective = table, objective
         user_rows, coeffs = table.user_rows(), table.coefficients
         self.m, self.size = _split_point(table.radices)
         suffix_rows = user_rows[self.m :]
@@ -202,26 +204,18 @@ def _block_costs(prefix, prefix_cost, suffix_weights, suffix_cost):
     return np.add(scores, suffix_cost, out=scores)
 
 
-def scan_range(
-    lo: int,
-    hi: int,
-    table: PlacementTable,
-    objective: ObjectiveKind,
-    shared: SharedScan | None = None,
-) -> tuple[float, int]:
-    """Minimum of ``objective`` over schedules lo..hi-1 and the first index
-    attaining it.
+def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
+    """Scan schedules lo..hi-1 into ``shared``: each re-scored block offers
+    its first canonical minimum, so the range's first minimum is offered
+    unless the incumbent already beats it.
 
     Users m..N-1 (``_split_point``) form the suffix. A block pairs as many
     prefix schedules of one chunk as fit in ``_BLOCK`` (one when the suffix
-    alone exceeds it) with every suffix schedule. ``shared`` is the scan
-    that the range belongs to; by default the range is a scan of its own.
+    alone exceeds it) with every suffix schedule.
     """
-    if hi <= lo:
-        return np.inf, -1
-    if shared is None:
-        shared = SharedScan(table, objective)
-    best = (np.inf, -1)
+    if hi <= lo:  # else the first prefix row would be scored and offered
+        return
+    table, objective = shared.table, shared.objective
     user_rows, coeffs = table.user_rows(), table.coefficients
     horizon, energy = len(coeffs), table.total_energy
     m, size = shared.m, shared.size
@@ -282,11 +276,7 @@ def scan_range(
             candidates = starts[sel // size] + sel % size
             canonical = score_loads(objective, _loads(candidates, user_rows, horizon), coeffs, energy)
             k = int(np.argmin(canonical))
-            # blocks follow the bound order, so an earlier block may hold a later index
-            if (canonical[k], candidates[k]) < best:
-                best = (float(canonical[k]), int(candidates[k]))
-                shared.offer(*best)
-    return best
+            shared.offer(float(canonical[k]), int(candidates[k]))
 
 
 def active_backend() -> str:

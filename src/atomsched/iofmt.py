@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .catalog import CATALOG_HORIZON, catalog_appliance
 from .errors import InvalidInstanceError, ParseError
-from .model import Appliance, ProblemInstance, check_duration_fits, validate_horizon
+from .model import Appliance, ProblemInstance, check_duration_fits, validate_horizon, window_defect
 from .objectives import default_cost_coefficients
 from .scr import SweepRow
 
@@ -161,7 +161,12 @@ def _parse_appliance(raw, index: int, horizon: int) -> Appliance:
     duration = _as_int(raw["duration"], f"{location}.duration")
     window_start = _as_int(raw["window_start"], f"{location}.window_start")
     window_end = _as_int(raw["window_end"], f"{location}.window_end")
-    try:  # before a level is repeated ``duration`` times
+    # the window and the duration are checked before a level is repeated
+    # ``duration`` times
+    defect = window_defect(window_start, window_end, horizon)
+    if defect:
+        raise ParseError(f"{raw['name']}: {defect[1]}", f"{location}.{defect[0]}")
+    try:
         check_duration_fits(raw["name"], window_start, window_end, duration)
     except InvalidInstanceError as exc:
         raise ParseError(str(exc), f"{location}.duration") from None

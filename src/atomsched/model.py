@@ -104,23 +104,19 @@ def check_duration_fits(name: str, window_start: int, window_end: int, duration:
         )
 
 
-def validate_appliance(appliance: Appliance, horizon: int) -> None:
-    """Check the horizon-dependent window bounds for one appliance."""
-    validate_horizon(horizon)
-    a = appliance
-    if not 0 <= a.window_start <= horizon - 1:
-        raise InvalidInstanceError(
-            f"{a.name}: window_start must be in [0, {horizon - 1}], got {a.window_start}"
-        )
-    if not 1 <= a.window_end <= 2 * horizon - 2:
-        raise InvalidInstanceError(
-            f"{a.name}: window_end must be in [1, {2 * horizon - 2}], got {a.window_end}"
-        )
-    if a.window_end - a.window_start > horizon - 1:
-        raise InvalidInstanceError(
-            f"{a.name}: window spans {a.window_end - a.window_start + 1} slots, "
+def window_defect(window_start: int, window_end: int, horizon: int) -> tuple[str, str] | None:
+    """The field at fault and what is wrong with it, or None when the window
+    [window_start, window_end] fits a day of ``horizon`` slots."""
+    if not 0 <= window_start <= horizon - 1:
+        return "window_start", f"window_start must be in [0, {horizon - 1}], got {window_start}"
+    if not 1 <= window_end <= 2 * horizon - 2:
+        return "window_end", f"window_end must be in [1, {2 * horizon - 2}], got {window_end}"
+    if window_end - window_start > horizon - 1:
+        return "window_end", (
+            f"window spans {window_end - window_start + 1} slots, "
             f"more than the horizon allows (max {horizon})"
         )
+    return None
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,9 @@ class ProblemInstance:
         if not self.appliances:
             raise InvalidInstanceError("instance needs at least one appliance")
         for appliance in self.appliances:
-            validate_appliance(appliance, self.horizon)
+            defect = window_defect(appliance.window_start, appliance.window_end, self.horizon)
+            if defect:
+                raise InvalidInstanceError(f"{appliance.name}: {defect[1]}")
         if len(self.cost_coefficients) != self.horizon:
             raise InvalidInstanceError(
                 f"need {self.horizon} cost coefficients, got {len(self.cost_coefficients)}"

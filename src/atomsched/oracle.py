@@ -2,20 +2,20 @@
 
 This is the ground truth the relaxation bounds are validated against. The
 scan is cut into one contiguous mixed-radix index range per worker
-(``workers``, default the CPU count), and each range runs the one
-enumeration kernel, ``_kernels.scan_range``, with the instance's
-``PlacementTable``. The ranges of one call share a ``_kernels.SharedScan``:
-the suffix tables, built once per call, and one incumbent, the best (value,
-index) pair found by any range so far. A range reads it before each block,
-skips the prefix rows whose bound proves them no better, and lowers it under
-a lock when it finds a better schedule. Which rows a range skips, and so
-what it returns, depends on how the threads are timed; the merged outcome
-does not. A schedule's value is bit-identical wherever its range starts,
-the range holding the first optimum always returns it, and every range
-before it returns a higher value, so the merged outcome is identical for
-any worker count and any timing. Ties are broken toward the lexicographically smallest
-schedule, comparing starts by their pre-modulo window position (so a 10 PM
-start orders before a midnight start of the same wrapped window).
+(``workers``, default the CPUs the process may run on), and each range runs
+the one enumeration kernel, ``_kernels.scan_range``, into one
+``_kernels.SharedScan`` per call: the instance's ``PlacementTable``, the
+suffix tables, built once, and the incumbent, whose final value is the
+answer. A range reads the incumbent before each block, skips the prefix
+rows whose bound proves them no better, and offers it each block's best
+schedule, which it keeps when lower. The answer is the least (value, index)
+pair any range offered. A schedule's value is bit-identical wherever its
+range starts, and the range holding the first optimum never skips it, so
+the answer does not depend on the worker count, on timing or on the order
+the ranges run in; only which rows are skipped does. Ties are broken toward
+the lexicographically smallest schedule, comparing starts by their
+pre-modulo window position (so a 10 PM start orders before a midnight start
+of the same wrapped window).
 """
 
 from __future__ import annotations
@@ -50,11 +50,14 @@ class OracleResult:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for parallel scans: ``requested``, or the CPU count when
-    it is None. A requested count that is not an integer >= 1 raises
-    ValueError."""
+    """Worker count for parallel scans: ``requested``, or the number of CPUs
+    the process may run on when it is None. A requested count that is not an
+    integer >= 1 raises ValueError."""
     if requested is None:
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # not on every platform
+            return os.cpu_count() or 1
     check_count("workers", requested)
     return requested
 
@@ -88,13 +91,9 @@ def brute_force(
     n_ranges = 1 if total < _MIN_PARALLEL_SIZE else workers
     bounds = [total * k // n_ranges for k in range(n_ranges + 1)]
     with ThreadPoolExecutor(max_workers=n_ranges) as pool:
-        partials = pool.map(
-            lambda lo, hi: _kernels.scan_range(lo, hi, table, objective, shared),
-            bounds,
-            bounds[1:],
-        )
-        # the ranges ascend and min keeps the first minimum: ties keep the lowest index
-        best_val, best_idx = min(partials, key=lambda partial: partial[0])
+        # list() waits for every range and raises what a range raised
+        list(pool.map(_kernels.scan_range, bounds, bounds[1:], [shared] * n_ranges))
+    best_val, best_idx = shared.best
 
     # digit d of user n is the user's column heads[n] + d
     digits = np.unravel_index(int(best_idx), table.radices)

@@ -191,6 +191,11 @@ def _doc(**changes):
         # a level repeated this many times cannot be allocated
         (_doc(appliances=[dict(INLINE, window_end=5, duration=10**12)]),
          "appliances[0].duration", "dw: window [0, 5] is shorter than duration 1000000000000"),
+        # and so is a window past the horizon that holds the duration
+        (_doc(appliances=[dict(INLINE, window_end=10**5, duration=10**5)]),
+         "appliances[0].window_end", "dw: window_end must be in [1, 46], got 100000"),
+        (_doc(appliances=[dict(INLINE, window_start=30, window_end=40)]),
+         "appliances[0].window_start", "dw: window_start must be in [0, 23], got 30"),
         (_doc(cost_coefficients={"night": 0.2}), "cost_coefficients",
          "tier key 'night' is not of the form 'lo-hi'"),
         (_doc(cost_coefficients={"0-24": 0.2}), "cost_coefficients",
@@ -213,7 +218,8 @@ def _doc(**changes):
         (_doc(cost_coefficients=[-0.2] * 24), "document",
          "cost coefficients must be finite and >= 0"),
     ],
-    ids=["coefficient", "tier-value", "duration", "oversized-duration", "tier-key", "tier-span",
+    ids=["coefficient", "tier-value", "duration", "oversized-duration", "oversized-window",
+         "window-start", "tier-key", "tier-span",
          "coefficients-type", "appliance-type", "catalog-key", "level-and-pattern", "pattern-type",
          "zero-level", "root", "horizon", "huge-horizon", "instance"],
 )

@@ -113,6 +113,14 @@ def test_placement_table_rows_are_the_flow_columns():
             assert np.array_equal(rows, dense[:, columns].T)
 
 
+def scan_alone(lo, hi, table, objective):
+    """Scan schedules lo..hi-1 into a fresh ``SharedScan`` and return its
+    answer: the range's first minimum and its index, (inf, -1) if empty."""
+    shared = _kernels.SharedScan(table, objective)
+    _kernels.scan_range(lo, hi, shared)
+    return shared.best
+
+
 def scan_range_sequential(lo, hi, table, objective):
     """Plain-Python reference for ``_kernels.scan_range``: one schedule at a
     time, summing each slot's rows in user order. It walks the range keeping
@@ -186,7 +194,7 @@ def test_numpy_kernel_matches_sequential_kernel(objective, monkeypatch):
                 (total // 2 + 1, total // 3),
             ]
             for lo, hi in ranges:
-                expected = _kernels.scan_range(lo, hi, *args)
+                expected = scan_alone(lo, hi, *args)
                 if lo >= hi:
                     assert expected == (np.inf, -1)
                 assert scan_range_sequential(lo, hi, *args) == expected, (cap, block_cap, chunk, inst, lo, hi)
@@ -265,7 +273,7 @@ def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
             for lo, hi in ranges:
                 if (lo, hi) not in expected:
                     expected[lo, hi] = scan_range_sequential(lo, hi, table, objective)
-                got = _kernels.scan_range(lo, hi, table, objective)
+                got = scan_alone(lo, hi, table, objective)
                 assert got == expected[lo, hi], (cap, block_cap, chunk, joint, inst, lo, hi)
 
 
@@ -300,7 +308,7 @@ def test_cost_cut_absorbs_score_errors_within_its_rounding_budget(monkeypatch):
         expected = scan_range_sequential(0, total, table, COST)
         for geometry in GEOMETRIES:
             set_geometry(monkeypatch, *geometry)
-            assert _kernels.scan_range(0, total, table, COST) == expected, (geometry, inst)
+            assert scan_alone(0, total, table, COST) == expected, (geometry, inst)
 
 
 def test_small_block_cap_reaches_every_scan_path(monkeypatch):
@@ -366,7 +374,29 @@ def test_worker_counts_agree(monkeypatch):
     # the library reads no worker setting from the environment
     monkeypatch.setenv("ATOMSCHED_MAX_WORKERS", "1")
     assert a.resolve_workers(3) == 3
+    assert a.resolve_workers(None) == len(os.sched_getaffinity(0))
+
+
+def test_default_workers_are_the_cpus_the_process_may_use(monkeypatch):
+    """Under taskset or a cpuset the default is the allowed CPUs, not the
+    host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert a.resolve_workers(None) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
     assert a.resolve_workers(None) == (os.cpu_count() or 1)
+
+
+def test_an_error_in_a_range_leaves_brute_force(monkeypatch):
+    """A range's exception is raised by ``brute_force``, not dropped with
+    the range."""
+
+    def failing(*args):
+        raise MemoryError("block")
+
+    monkeypatch.setattr(_kernels, "_block_costs", failing)
+    monkeypatch.setattr(oracle, "_MIN_PARALLEL_SIZE", 1)
+    with pytest.raises(MemoryError, match="block"):
+        a.brute_force(a.generate_instance(3, 1), COST, workers=2)
 
 
 def test_concurrent_scans_keep_their_own_suffix_tables():
@@ -474,18 +504,24 @@ def test_objective_must_be_an_objective_kind(dish_washer_instance):
 
 
 def test_partition_independence():
-    inst = a.generate_instance(3, 11)
-    args = (a.PlacementTable(inst), COST)
-    total = a.enumeration_size(inst)
-    whole = _kernels.scan_range(0, total, *args)
-    for pieces in (2, 3, 7):
-        bounds = np.linspace(0, total, pieces + 1, dtype=int)
-        best = (np.inf, -1)
-        for lo, hi in zip(bounds, bounds[1:]):
-            val, idx = _kernels.scan_range(int(lo), int(hi), *args)
-            if val < best[0]:
-                best = (val, idx)
-        assert best == whole
+    """A scan's answer is its incumbent: 2, 3 and 7 pieces of the range
+    scanned into one ``SharedScan`` in ascending, descending and shuffled
+    order must leave the whole range's (value, index) pair under either
+    objective, also on instances where many schedules tie exactly."""
+    rng = np.random.default_rng(3)
+    for inst in [a.generate_instance(3, 11), *tied_instances(30)]:
+        table = a.PlacementTable(inst)
+        total = a.enumeration_size(inst)
+        for objective in (COST, PAR):
+            whole = scan_alone(0, total, table, objective)
+            for pieces in (2, 3, 7):
+                bounds = np.linspace(0, total, pieces + 1, dtype=int).tolist()
+                ranges = list(zip(bounds, bounds[1:]))
+                for order in (ranges, ranges[::-1], rng.permutation(ranges).tolist()):
+                    shared = _kernels.SharedScan(table, objective)
+                    for lo, hi in order:
+                        _kernels.scan_range(lo, hi, shared)
+                    assert shared.best == whole, (inst, objective, pieces, order)
 
 
 def test_too_large_reports_exact_size(two_tier_coefficients):

@@ -131,6 +131,21 @@ def test_pruned_cost_scan_matches_golden_run(case, workers, monkeypatch):
         assert 10 * scored < 6 * covered
 
 
+@pytest.mark.parametrize(
+    "case, objective, scorer, rows",
+    [
+        ("worst5", "cost", "_block_costs", 252),
+        ("n6-mix", "cost", "_block_costs", 474),
+        ("worst5", "par", "_block_peaks", 10),
+        ("n6-mix", "par", "_block_peaks", 7),
+    ],
+)
+def test_one_worker_scores_the_rows_readme_states(case, objective, scorer, rows, monkeypatch):
+    """At one worker the scan's rows scored depend on no timing: exactly
+    the counts README states, of 529 prefix rows covered."""
+    assert scored_rows(monkeypatch, scorer, case, objective, 1) == (rows, 529)
+
+
 if __name__ == "__main__":
     records = [
         {"case": case, "objective": objective, **run(inst, objective)}

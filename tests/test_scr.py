@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import atomsched as a
-from atomsched import _kernels, scr
+from atomsched import scr
 from atomsched.flows import one_hot_rows
 
 from conftest import schedule_value
+from test_oracle import scan_alone
 
 COST = a.ObjectiveKind.COST
 PAR = a.ObjectiveKind.PAR
@@ -66,7 +67,7 @@ def test_upper_bound_is_the_oracle_value_of_its_schedule(n, seed, objective):
     table = a.PlacementTable(inst)
     digits = [table.start_sets[k].index(s) for k, s in enumerate(result.schedule)]
     index = int(np.ravel_multi_index(digits, table.radices))
-    assert _kernels.scan_range(index, index + 1, table, objective) == (
+    assert scan_alone(index, index + 1, table, objective) == (
         result.upper_bound, index
     )
 
