@@ -17,9 +17,11 @@ suffix, never empty). Prefix rows are taken in chunks of up to ``_CHUNK``:
 a chunk builds its rows' loads and bounds once, and its blocks take its
 rows in order of bound, ties by index, so the rows that may beat the
 incumbent are a leading run of that order and the most promising are
-scored first. A block scores only rows whose bound may beat the incumbent:
-PAR exactly, cost from per-user cross terms, and the pairs rounding may put
-at the minimum are re-scored from their loads, summed in user order, by
+scored first; while the incumbent is empty, a block holds the best-bound
+row alone, so that the blocks after it have a value to prune with. A block
+scores only rows whose bound may beat the incumbent: PAR exactly, cost
+from per-user cross terms, and the pairs rounding may put at the minimum
+are re-scored from their loads, summed in user order, by
 ``objectives.score_loads``, SCR's scorer too.
 
 No bound needs slack: row entries are >= 0 and adding a nonnegative float
@@ -211,7 +213,7 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
 
     Users m..N-1 (``_split_point``) form the suffix. A block pairs as many
     prefix schedules of one chunk as fit in ``_BLOCK`` (one when the suffix
-    alone exceeds it) with every suffix schedule.
+    alone exceeds it or ``shared.best`` is empty) with every suffix schedule.
     """
     if hi <= lo:  # else the first prefix row would be scored and offered
         return
@@ -241,9 +243,12 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
         # rows by bound, ties by index: the rows that may beat the incumbent
         # are a leading run of this order, and the best of them come first
         order = np.argsort(bound, kind="stable")
-        for pos in range(0, len(order), rows):
+        pos = 0
+        while pos < len(order):
             value, index = shared.best
-            block = order[pos : pos + rows]
+            # one row while the incumbent is empty
+            take = rows if index >= 0 else 1
+            block, pos = order[pos : pos + take], pos + take
             if cost:
                 block = block[bound[block] <= value * shared.cut_factor]
             else:

@@ -2,8 +2,9 @@
 
 This is the ground truth the relaxation bounds are validated against. The
 scan is cut into one contiguous mixed-radix index range per worker
-(``workers``, default the CPUs the process may run on), and each range runs
-the one enumeration kernel, ``_kernels.scan_range``, into one
+(``workers``, default the CPUs the process may run on); the calling thread
+scans the first range and pool threads the others. Each range runs the one
+enumeration kernel, ``_kernels.scan_range``, into one
 ``_kernels.SharedScan`` per call: the instance's ``PlacementTable``, the
 suffix tables, built once, and the incumbent, whose final value is the
 answer. A range reads the incumbent before each block, skips the prefix
@@ -71,7 +72,9 @@ def brute_force(
     """The best of every feasible schedule under the objective: each one is
     scored, or skipped with a prefix row (under either objective) whose
     bound proves it no better than the incumbent, a schedule that one of
-    the call's ranges has scored.
+    the call's ranges has scored. The calling thread scans the first range
+    and pool threads the others, so a one-range scan starts no thread; an
+    exception from any range is raised once every range has stopped.
 
     Refuses instances whose joint start space exceeds ``limit`` evaluations
     (TooLargeError reports the exact size), a ``limit`` or ``workers`` that
@@ -90,9 +93,11 @@ def brute_force(
     workers = resolve_workers(workers)
     n_ranges = 1 if total < _MIN_PARALLEL_SIZE else workers
     bounds = [total * k // n_ranges for k in range(n_ranges + 1)]
-    with ThreadPoolExecutor(max_workers=n_ranges) as pool:
-        # list() waits for every range and raises what a range raised
-        list(pool.map(_kernels.scan_range, bounds, bounds[1:], [shared] * n_ranges))
+    with ThreadPoolExecutor(max_workers=max(1, n_ranges - 1)) as pool:
+        later = pool.map(_kernels.scan_range, bounds[1:-1], bounds[2:], [shared] * (n_ranges - 1))
+        _kernels.scan_range(bounds[0], bounds[1], shared)  # the first range on this thread
+        # list() waits for every later range and raises what one raised
+        list(later)
     best_val, best_idx = shared.best
 
     # digit d of user n is the user's column heads[n] + d

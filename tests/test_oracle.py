@@ -2,6 +2,7 @@ import itertools
 import os
 import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
 
@@ -388,15 +389,74 @@ def test_default_workers_are_the_cpus_the_process_may_use(monkeypatch):
 
 def test_an_error_in_a_range_leaves_brute_force(monkeypatch):
     """A range's exception is raised by ``brute_force``, not dropped with
-    the range."""
+    the range: from a block scorer that fails in every range, and from the
+    first range alone, which the calling thread scans, or the later ones
+    alone, which pool threads scan. The call returns once every range that
+    started has stopped, and leaves no thread behind. The one-range errors
+    are raised after the range's scan: a later range may skip every block,
+    so a scorer there need not run."""
 
     def failing(*args):
         raise MemoryError("block")
 
-    monkeypatch.setattr(_kernels, "_block_costs", failing)
     monkeypatch.setattr(oracle, "_MIN_PARALLEL_SIZE", 1)
-    with pytest.raises(MemoryError, match="block"):
-        a.brute_force(a.generate_instance(3, 1), COST, workers=2)
+    inst, threads = a.generate_instance(3, 1), threading.active_count()
+    with monkeypatch.context() as patched:
+        patched.setattr(_kernels, "_block_costs", failing)
+        with pytest.raises(MemoryError, match="block"):
+            a.brute_force(inst, COST, workers=2)
+    assert threading.active_count() == threads
+    scan_range = _kernels.scan_range
+    for fails in (lambda lo: lo == 0, lambda lo: lo > 0):
+        started, stopped = [], []
+
+        def scan(lo, hi, shared):
+            started.append(lo)
+            try:
+                scan_range(lo, hi, shared)
+                if fails(lo):
+                    raise MemoryError(f"range at {lo}")
+            finally:
+                stopped.append(lo)
+
+        monkeypatch.setattr(_kernels, "scan_range", scan)
+        with pytest.raises(MemoryError, match="range at"):
+            a.brute_force(inst, COST, workers=3)
+        assert threading.active_count() == threads
+        # a range the pool cancels before it starts is never scanned
+        assert 0 in started and sorted(stopped) == sorted(started)
+
+
+def test_the_calling_thread_scans_the_first_range(monkeypatch):
+    """The range at index 0 runs on the calling thread and every later
+    range on a pool thread; a one-range scan, at one worker or below
+    ``_MIN_PARALLEL_SIZE``, starts no thread."""
+    scan_range, ran, starts = _kernels.scan_range, [], []
+    start = threading.Thread.start
+
+    def scan(lo, hi, shared):
+        ran.append((lo, threading.get_ident()))
+        scan_range(lo, hi, shared)
+
+    def counted_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(_kernels, "scan_range", scan)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    caller, inst = threading.get_ident(), a.generate_instance(3, 1)
+    assert a.enumeration_size(inst) < oracle._MIN_PARALLEL_SIZE
+    for workers in (1, 2):
+        ran.clear()
+        a.brute_force(inst, PAR, workers=workers)
+        assert (ran, starts) == ([(0, caller)], [])
+    monkeypatch.setattr(oracle, "_MIN_PARALLEL_SIZE", 1)
+    ran.clear()
+    a.brute_force(inst, PAR, workers=3)
+    ran.sort()
+    assert [lo for lo, _ in ran] == [0, 3388, 6776]
+    assert ran[0][1] == caller and caller not in {ident for _, ident in ran[1:]}
+    assert 1 <= len(starts) <= 2
 
 
 def test_concurrent_scans_keep_their_own_suffix_tables():

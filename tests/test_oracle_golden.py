@@ -95,11 +95,10 @@ def scored_rows(monkeypatch, scorer, case, objective, workers):
 
 def test_joint_bound_scores_few_par_rows(monkeypatch):
     """One PAR range bounds each row by the heaviest suffix users placed
-    jointly and takes rows in bound order: it scores at most 10 of the N=6
+    jointly and scores its best-bound row first: it scores 1 of the N=6
     mix's 529 prefix rows (28 under the prefix-peak bound alone) and under
     1% of the 10,164 of ``generate_instance(7, 1)`` (1,938 before)."""
-    scored, covered = scored_rows(monkeypatch, "_block_peaks", "n6-mix", "par", 1)
-    assert covered == 529 and 0 < scored <= 10
+    assert scored_rows(monkeypatch, "_block_peaks", "n6-mix", "par", 1) == (1, 529)
     scored = counted_rows(monkeypatch, "_block_peaks")
     instance = a.generate_instance(7, 1)
     result = a.brute_force(instance, a.ObjectiveKind.PAR, limit=10**9, workers=1)
@@ -136,14 +135,17 @@ def test_pruned_cost_scan_matches_golden_run(case, workers, monkeypatch):
     [
         ("worst5", "cost", "_block_costs", 252),
         ("n6-mix", "cost", "_block_costs", 474),
-        ("worst5", "par", "_block_peaks", 10),
-        ("n6-mix", "par", "_block_peaks", 7),
+        ("worst5", "par", "_block_peaks", 1),
+        ("n6-mix", "par", "_block_peaks", 1),
     ],
 )
 def test_one_worker_scores_the_rows_readme_states(case, objective, scorer, rows, monkeypatch):
     """At one worker the scan's rows scored depend on no timing: exactly
-    the counts README states, of 529 prefix rows covered."""
+    the counts README states, of 529 prefix rows covered. The first block,
+    scored while the incumbent is empty, holds one row."""
+    per_block = counted_rows(monkeypatch, scorer)
     assert scored_rows(monkeypatch, scorer, case, objective, 1) == (rows, 529)
+    assert per_block[0] == 1
 
 
 if __name__ == "__main__":
