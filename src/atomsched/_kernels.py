@@ -15,19 +15,21 @@ The scan is split over blocks that pair a few schedules of the first users
 (the prefix, possibly empty) with every schedule of the last users (the
 suffix, never empty). Prefix rows are taken in chunks of up to ``_CHUNK``:
 a chunk builds its rows' loads and bounds once, and its blocks take its
-rows in order of bound, ties by index, so the rows that may beat the
-incumbent are a leading run of that order and the most promising are
-scored first; while the incumbent is empty, a block holds the best-bound
-row alone, so that the blocks after it have a value to prune with. A block
-scores only rows whose bound may beat the incumbent: PAR exactly, cost
-from per-user cross terms, and the pairs rounding may put at the minimum
-are re-scored from their loads, summed in user order, by
-``objectives.score_loads``, SCR's scorer too.
+rows in order of bound (cost: of the prefix's own cost, which the bound
+never falls with), ties by index, so the rows that may beat the incumbent
+are a leading run of that order and the most promising are scored first;
+while the incumbent is empty, a block holds the best-bound row alone, so
+that the blocks after it have a value to prune with. A block scores only
+rows whose bound may beat the incumbent: PAR exactly, cost from per-user
+cross terms, and the pairs rounding may put at the minimum are re-scored
+from their loads, summed in user order, by ``objectives.score_loads``,
+SCR's scorer too.
 
 No bound needs slack: row entries are >= 0 and adding a nonnegative float
 never lowers a rounded sum. So a schedule's peak is at least its prefix's
-peak and each suffix user's lowest row peak, and a cost score is at least
-the prefix's cost plus the suffix's lowest. A PAR row that passes that
+peak and each suffix user's lowest row peak, and, as every cross term is
+>= 0, a pair's cost score is at least fl(prefix cost + suffix cost), so at
+least the prefix's cost plus the suffix's lowest. A PAR row that passes its
 bound is then bounded by its lowest peak over the joint starts of the
 heaviest suffix users (ranked by lowest row peak, at most ``_JOINT`` joint
 starts): their rows are added to the prefix loads one user at a time, in
@@ -35,6 +37,19 @@ user order. Each slot sum is then the canonical sum with some nonnegative
 terms left out, so it is never above it, and the bound is at most each of
 the row's values as computed. Pre-summing the heavy rows would not keep
 this order and could exceed a canonical sum by an ulp.
+
+By the pair bound, the pairs of a cost row that may make the candidate cut
+are a leading run of the suffix schedules sorted by their own cost, ties by
+index; ``SharedScan`` keeps that order, the sorted costs and each suffix
+user's digits in that order. Before each cost block, the run of its first
+row, its lowest-cost one, is found from the live incumbent, rounded so that
+it can only come out too long. When the run is at most a quarter of the
+suffix, the block takes as many rows as fill ``_BLOCK`` with pairs of the
+run and scores each row against the run alone, gathering each suffix
+user's cross terms; otherwise, as while the incumbent is empty, it scores
+the whole suffix in index order. Either way a pair's score is the same sum, added in
+the same order, so the candidates, re-scored in index order, are those of
+a block that scored every pair.
 
 The ranges of one scan share a ``SharedScan``: the table, the objective,
 the suffix tables, built once, and the incumbent ``best``, which is the
@@ -51,16 +66,18 @@ count, the timing or the order the ranges run in; only the work done,
 which rows each range skips, depends on them.
 
 ``_SUFFIX_CAP`` bounds the suffix, a block's row width; the cost path keeps
-one float per suffix schedule. ``_BLOCK`` bounds a block, which takes as
-many prefix rows as fit. Blocks are larger than the suffix as a block's
-numpy passes run over rows that grow with its prefix rows, and passes over
-rows shorter than a few thousand elements cost several times more per
-element than passes over longer ones; a larger suffix would instead widen
-the rows the bounds skip. A chunk of c prefix rows holds c * (H + 4)
-numbers: each row's loads, index, bound, place in the bound order and, for
-cost, the prefix's own cost; 0.9 MB at c = 4096 and H = 24. The joint PAR
-bound takes at most ``_BLOCK // (joint starts * H)`` rows at once, so its
-temporaries stay within ``_BLOCK`` floats, as a block's do.
+a few numbers per suffix schedule: its cost in index and in sorted order,
+its place in that order and each suffix user's digit. ``_BLOCK`` bounds a
+block, which takes as many prefix rows as fit. Blocks are larger than the
+suffix as a block's numpy passes run over rows that grow with its prefix
+rows, and passes over rows shorter than a few thousand elements cost
+several times more per element than passes over longer ones; a larger
+suffix would instead widen the rows the bounds skip. A chunk of c prefix
+rows holds c * (H + 4) numbers: each row's loads, index, bound, place in
+the bound order and, for cost, the prefix's own cost; 0.9 MB at c = 4096
+and H = 24. The joint PAR bound takes at most ``_BLOCK // (joint starts *
+H)`` rows at once, so its temporaries stay within ``_BLOCK`` floats, as a
+block's do.
 
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
 terms of every slot are added in user order however the blocks fall, so a
@@ -76,6 +93,7 @@ number of threads.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -134,7 +152,12 @@ class SharedScan:
             for rows in suffix_rows:
                 suffix = (suffix[:, None] + rows).reshape(-1, len(coeffs))
             self.suffix_cost = np.einsum("h,sh,sh->s", coeffs, suffix, suffix)
-            self.floor = self.suffix_cost.min()
+            # the suffix schedules by their own cost, ties by index, with that
+            # cost and each suffix user's digit in this order
+            self.suffix_order = np.argsort(self.suffix_cost, kind="stable")
+            self.sorted_cost = self.suffix_cost[self.suffix_order]
+            self.sorted_digits = np.unravel_index(self.suffix_order, table.radices[self.m :])
+            self.floor = self.sorted_cost[0]
             self.suffix_weights = [2 * coeffs[:, None] * rows.T for rows in suffix_rows]
             # each term of a score or canonical value is rounded at most 2K + H + 2
             # times (K users: K in load sums, two multiplies, H - 1 in the slot sum,
@@ -206,6 +229,30 @@ def _block_costs(prefix, prefix_cost, suffix_weights, suffix_cost):
     return np.add(scores, suffix_cost, out=scores)
 
 
+def _run_costs(prefix, prefix_cost, suffix_weights, run_digits, run_cost):
+    """Cost score of each (prefix row, run schedule) pair, for a run of
+    suffix schedules given by each suffix user's digits ``run_digits`` and
+    their own costs ``run_cost``: each user's cross term is gathered by its
+    digits and the terms are added in ``_block_costs``'s order, one user at
+    a time from the last back, so two arrays of the block's size are live."""
+    scores = None
+    for j in range(len(suffix_weights) - 1, -1, -1):
+        cross = np.einsum("ph,hk->pk", prefix, suffix_weights[j])
+        if j == 0:
+            cross += prefix_cost[:, None]
+        terms = np.take(cross, run_digits[j], axis=1)
+        scores = terms if scores is None else np.add(terms, scores, out=scores)
+    return np.add(scores, run_cost, out=scores)
+
+
+def _run_length(sorted_cost, prefix_cost, cut):
+    """How many of the ``sorted_cost`` suffix costs s, a leading run, have
+    fl(prefix_cost + s) <= cut, or a few more. Such an s is at most
+    cut - prefix_cost + ulp(cut) / 2; computing that difference loses at
+    most ulp(cut) / 2, and adding 2 ulp(cut) at most another ulp(cut)."""
+    return int(sorted_cost.searchsorted((cut - float(prefix_cost)) + 2 * math.ulp(cut), "right"))
+
+
 def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
     """Scan schedules lo..hi-1 into ``shared``: each re-scored block offers
     its first canonical minimum, so the range's first minimum is offered
@@ -213,7 +260,8 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
 
     Users m..N-1 (``_split_point``) form the suffix. A block pairs as many
     prefix schedules of one chunk as fit in ``_BLOCK`` (one when the suffix
-    alone exceeds it or ``shared.best`` is empty) with every suffix schedule.
+    alone exceeds it or ``shared.best`` is empty) with every suffix schedule,
+    or, for cost, with the run of the suffix by cost that may make the cut.
     """
     if hi <= lo:  # else the first prefix row would be scored and offered
         return
@@ -222,7 +270,6 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
     horizon, energy = len(coeffs), table.total_energy
     m, size = shared.m, shared.size
     cost = objective is ObjectiveKind.COST
-    rows = max(1, _BLOCK // size)
     q_end = (hi - 1) // size + 1
     for c0 in range(lo // size, q_end, _CHUNK):
         chunk = np.arange(c0, min(c0 + _CHUNK, q_end))
@@ -240,17 +287,29 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
                     part = fresh[k : k + step]
                     peaks = _joint_peaks(prefix[part], shared.heavy_rows)
                     bound[part] = (horizon * peaks) / energy
-        # rows by bound, ties by index: the rows that may beat the incumbent
-        # are a leading run of this order, and the best of them come first
-        order = np.argsort(bound, kind="stable")
+        # rows by bound (cost: by the prefix's cost, so also by bound, and a
+        # block's first row has its longest run), ties by index: the rows that
+        # may beat the incumbent are a leading run of this order, and the best
+        # of them come first
+        order = np.argsort(prefix_cost if cost else bound, kind="stable")
         pos = 0
         while pos < len(order):
             value, index = shared.best
+            width, in_run = size, False
+            if cost:
+                cut = value * shared.cut_factor
+                # the pairs that may make the cut are a leading run of the suffix
+                # by its own cost; a run of at most a quarter of the suffix is
+                # scored alone, in rows that fill a block
+                if index >= 0:
+                    run = _run_length(shared.sorted_cost, prefix_cost[order[pos]], cut)
+                    if 4 * run <= size:
+                        width, in_run = max(run, 1), True
             # one row while the incumbent is empty
-            take = rows if index >= 0 else 1
+            take = max(1, _BLOCK // width) if index >= 0 else 1
             block, pos = order[pos : pos + take], pos + take
             if cost:
-                block = block[bound[block] <= value * shared.cut_factor]
+                block = block[bound[block] <= cut]
             else:
                 # a tie goes to the lower index
                 earlier = chunk[block] * size < index
@@ -258,27 +317,44 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
             if not len(block):
                 break
             block.sort()
-            if cost:
-                vals = _block_costs(
-                    prefix[block], prefix_cost[block], shared.suffix_weights, shared.suffix_cost
-                )
-            else:
-                vals = (horizon * _block_peaks(prefix[block], user_rows[m:])) / energy
-            # only the range's first and last prefix rows reach past lo..hi-1
             starts = chunk[block] * size
-            vals = vals.reshape(len(block), size)
-            vals[0, : max(lo - starts[0], 0)] = np.inf
-            vals[-1, hi - starts[-1] :] = np.inf
+            # only the range's first and last prefix rows reach past lo..hi-1
+            if in_run:
+                column = shared.suffix_order[:width]
+                vals = _run_costs(
+                    prefix[block],
+                    prefix_cost[block],
+                    shared.suffix_weights,
+                    [digits[:width] for digits in shared.sorted_digits],
+                    shared.sorted_cost[:width],
+                )
+                if starts[0] < lo:
+                    vals[0, column < lo - starts[0]] = np.inf
+                if starts[-1] + size > hi:
+                    vals[-1, column >= hi - starts[-1]] = np.inf
+            else:
+                if cost:
+                    vals = _block_costs(
+                        prefix[block], prefix_cost[block], shared.suffix_weights, shared.suffix_cost
+                    )
+                else:
+                    vals = (horizon * _block_peaks(prefix[block], user_rows[m:])) / energy
+                vals = vals.reshape(len(block), size)
+                vals[0, : max(lo - starts[0], 0)] = np.inf
+                vals[-1, hi - starts[-1] :] = np.inf
             vals = vals.ravel()
             if cost:
                 low = vals.min()
-                if low > value * shared.cut_factor:
+                if low > cut:
                     continue
                 sel = np.flatnonzero(vals <= min(low, value) * shared.cut_factor)
             else:
                 # PAR's values are canonical, so its first minimum is its one candidate
                 sel = np.argmin(vals, keepdims=True)
-            candidates = starts[sel // size] + sel % size
+            rest = sel % width
+            candidates = starts[sel // width] + (column[rest] if in_run else rest)
+            # in index order, so the first canonical minimum is offered
+            candidates.sort()
             canonical = score_loads(objective, _loads(candidates, user_rows, horizon), coeffs, energy)
             k = int(np.argmin(canonical))
             shared.offer(float(canonical[k]), int(candidates[k]))

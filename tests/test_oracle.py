@@ -246,6 +246,20 @@ def regrouping_instances():
     ]
 
 
+def sorted_run_tie_instance():
+    """H = 8, found by search: under the small geometries a cost block
+    scores a prefix row against a run of the suffix sorted by cost, in
+    which two schedules that tie exactly come in the reverse of their
+    index order, so a block that re-scores its candidates in run order
+    offers the later one."""
+    washer = a.Appliance("washer", 7, 12, 3, (2.0, 2.0, 1.0))
+    return a.ProblemInstance(
+        8,
+        [a.Appliance("u0", 2, 6, 3, (2.0, 2.0, 1.0)), washer, washer],
+        (1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0),
+    )
+
+
 @pytest.mark.parametrize("objective", [COST, PAR], ids=["cost", "par"])
 def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
     """The scan, which skips prefix rows whose bound cannot beat the
@@ -257,8 +271,9 @@ def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
     value or an index; for cost, the separable block scores,
     the cut and the skip meet exact ties and near-ties that differ in their
     last bits, and the re-scored candidates must still hold the first
-    canonical minimum."""
-    for inst in [*tied_instances(200), *regrouping_instances()]:
+    canonical minimum, also where a block scores its rows against a run of
+    the suffix sorted by cost."""
+    for inst in [*tied_instances(200), *regrouping_instances(), sorted_run_tie_instance()]:
         table = a.PlacementTable(inst)
         total = a.enumeration_size(inst)
         expected = {}
@@ -285,21 +300,28 @@ def test_cost_cut_absorbs_score_errors_within_its_rounding_budget(monkeypatch):
     Here each block score is also moved by +gamma or -gamma, alternately, so
     swapped starts of identical users, whose canonical values tie exactly,
     get scores 2 gamma apart: inside the cut (on these instances the scan
-    stays exact up to +-4 gamma), but past a cut of 1 + (2K + H + 8) u. The
-    scan must still return the plain-Python reference's value and index
-    under each of GEOMETRIES."""
-    block_costs = _kernels._block_costs
+    stays exact up to +-4 gamma), but past a cut of 1 + (2K + H + 8) u.
+    Scores of the whole suffix and of a run of it sorted by cost are moved
+    alike. The scan must still return the plain-Python reference's value
+    and index under each of GEOMETRIES."""
+    scorers = set()
 
-    def perturbed(*args):
-        scores = block_costs(*args)
-        signs = np.where(np.arange(scores.size) % 2, -1.0, 1.0).reshape(scores.shape)
-        return scores * (1 + gamma * signs)
+    def perturbed(name, score):
+        def scorer(*args):
+            scorers.add(name)
+            scores = score(*args)
+            signs = np.where(np.arange(scores.size) % 2, -1.0, 1.0).reshape(scores.shape)
+            return scores * (1 + gamma * signs)
 
-    monkeypatch.setattr(_kernels, "_block_costs", perturbed)
+        return scorer
+
+    for name in ("_block_costs", "_run_costs"):
+        monkeypatch.setattr(_kernels, name, perturbed(name, getattr(_kernels, name)))
     dish_washer = a.catalog_appliance("dish_washer")
     for inst in (
         a.ProblemInstance(24, [dish_washer] * 2, (0.25,) * 24),
         a.ProblemInstance(24, [dish_washer] * 3, a.default_cost_coefficients()),
+        sorted_run_tie_instance(),
     ):
         n = 2 * inst.n_users + inst.horizon + 2
         unit = np.finfo(float).eps / 2
@@ -310,6 +332,32 @@ def test_cost_cut_absorbs_score_errors_within_its_rounding_budget(monkeypatch):
         for geometry in GEOMETRIES:
             set_geometry(monkeypatch, *geometry)
             assert scan_alone(0, total, table, COST) == expected, (geometry, inst)
+    assert scorers == {"_block_costs", "_run_costs"}
+
+
+def test_cost_run_holds_every_pair_that_may_make_the_cut():
+    """``_run_length`` counts the sorted suffix costs s with
+    fl(prefix_cost + s) <= cut, or a few more, never fewer. At cut =
+    fl(1 + 1.25 * 2^-52) = 1 + 2^-52 the suffix cost 1.25 * 2^-52 makes
+    the cut although it is above fl(cut - 1) = 2^-52, so a run one short,
+    or one from that difference alone, leaves out a pair that may tie the
+    incumbent. On random costs, cut at each pair's own rounded sum and an
+    ulp either side, the run holds every pair under the cut and none past
+    four ulps of it."""
+    ulp = 2.0**-52
+    sorted_cost = np.array([ulp / 2, 1.25 * ulp, 1.0])
+    assert 1.0 + sorted_cost[1] == 1.0 + ulp
+    assert _kernels._run_length(sorted_cost, 1.0, 1.0 + ulp) == 2
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        sorted_cost = np.sort(rng.random(50) * 10.0 ** rng.integers(-3, 4))
+        prefix_cost = rng.random() * 10.0 ** rng.integers(-3, 4)
+        for total in prefix_cost + sorted_cost[rng.integers(0, 50, 5)]:
+            for cut in (np.nextafter(total, 0.0), total, np.nextafter(total, np.inf)):
+                run = _kernels._run_length(sorted_cost, prefix_cost, cut)
+                fits = np.count_nonzero(prefix_cost + sorted_cost <= cut)
+                near = np.count_nonzero(prefix_cost + sorted_cost <= cut + 4 * np.spacing(cut))
+                assert fits <= run <= near, (prefix_cost, cut)
 
 
 def test_small_block_cap_reaches_every_scan_path(monkeypatch):

@@ -67,30 +67,42 @@ def test_oracle_matches_golden_run(case, objective, workers):
         assert got[key] == expected[key], key
 
 
-def counted_rows(monkeypatch, scorer):
-    """A list that collects the number of prefix rows each call of the
-    block scorer ``scorer`` of ``_kernels`` is given."""
-    score, scored = getattr(_kernels, scorer), []
-
-    def counting(prefix, *args):
-        scored.append(len(prefix))
-        return score(prefix, *args)
-
-    monkeypatch.setattr(_kernels, scorer, counting)
-    return scored
+#: each objective's block scorers in ``_kernels``: a cost block scores the
+#: whole suffix, or the run of it sorted by cost that may make the cut
+SCORERS = {"cost": ("_block_costs", "_run_costs"), "par": ("_block_peaks",)}
 
 
-def scored_rows(monkeypatch, scorer, case, objective, workers):
-    """Run ``case`` through ``brute_force`` counting the prefix rows the
-    block scorer ``scorer`` of ``_kernels`` is given, check the golden
-    result, and return the rows scored and the prefix rows covered."""
-    scored = counted_rows(monkeypatch, scorer)
+def counted_blocks(monkeypatch, objective):
+    """A list that collects (scorer, prefix rows, pairs) for each block
+    that one of ``objective``'s block scorers scores."""
+    blocks = []
+    for name in SCORERS[objective]:
+
+        def counting(prefix, *args, name=name, score=getattr(_kernels, name)):
+            vals = score(prefix, *args)
+            blocks.append((name, len(prefix), vals.size))
+            return vals
+
+        monkeypatch.setattr(_kernels, name, counting)
+    return blocks
+
+
+def scored_blocks(monkeypatch, case, objective, workers):
+    """Run ``case`` through ``brute_force`` counting its scored blocks,
+    check the golden result, and return (scorer, prefix rows, pairs) for
+    each block and the prefix rows covered."""
+    blocks = counted_blocks(monkeypatch, objective)
     instance = instances()[case]
     got, expected = run(instance, objective, workers), _expected()[(case, objective)]
     for key in ("objective_value", "schedule", "evaluations"):
         assert got[key] == expected[key], key
     _, size = _kernels._split_point(a.PlacementTable(instance).radices)
-    return sum(scored), got["evaluations"] // size
+    return blocks, got["evaluations"] // size
+
+
+def totals(blocks):
+    """The prefix rows and the pairs that ``blocks`` scored."""
+    return sum(rows for _, rows, _ in blocks), sum(pairs for _, _, pairs in blocks)
 
 
 def test_joint_bound_scores_few_par_rows(monkeypatch):
@@ -98,15 +110,16 @@ def test_joint_bound_scores_few_par_rows(monkeypatch):
     jointly and scores its best-bound row first: it scores 1 of the N=6
     mix's 529 prefix rows (28 under the prefix-peak bound alone) and under
     1% of the 10,164 of ``generate_instance(7, 1)`` (1,938 before)."""
-    assert scored_rows(monkeypatch, "_block_peaks", "n6-mix", "par", 1) == (1, 529)
-    scored = counted_rows(monkeypatch, "_block_peaks")
+    blocks, covered = scored_blocks(monkeypatch, "n6-mix", "par", 1)
+    assert (totals(blocks)[0], covered) == (1, 529)
+    blocks = counted_blocks(monkeypatch, "par")
     instance = a.generate_instance(7, 1)
     result = a.brute_force(instance, a.ObjectiveKind.PAR, limit=10**9, workers=1)
     assert float.hex(result.objective_value) == "0x1.5cd9271abf2dep+1"
     assert result.schedule == (4, 4, 4, 22, 4, 6, 1)
     _, size = _kernels._split_point(a.PlacementTable(instance).radices)
     assert result.evaluations // size == 10_164
-    assert 0 < 100 * sum(scored) < 10_164
+    assert 0 < 100 * totals(blocks)[0] < 10_164
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -114,20 +127,31 @@ def test_joint_bound_scores_few_par_rows(monkeypatch):
 def test_pruned_par_scan_matches_golden_run(case, workers, monkeypatch):
     """The PAR scan scores under a tenth of the prefix rows it covers and
     still gives the golden result, so a scan that stops pruning fails."""
-    scored, covered = scored_rows(monkeypatch, "_block_peaks", case, "par", workers)
-    assert 0 < 10 * scored < covered
+    blocks, covered = scored_blocks(monkeypatch, case, "par", workers)
+    assert 0 < 10 * totals(blocks)[0] < covered
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", ["worst5", "gen-6-3"])
 def test_pruned_cost_scan_matches_golden_run(case, workers, monkeypatch):
     """The cost scan skips prefix rows (on worst5, over 40% of those it
-    covers; 252 of 529 are scored at one worker) and still gives the golden
-    result, so a scan that stops skipping rows fails."""
-    scored, covered = scored_rows(monkeypatch, "_block_costs", case, "cost", workers)
-    assert 0 < scored < covered
+    covers; 252 of 529 are scored at one worker) and scores a kept row only
+    against the suffix schedules whose own cost fits under the cut, and
+    still gives the golden result, so a scan that stops skipping rows or
+    trimming their suffix fails. Scoring every kept row against the whole
+    suffix, the scan scored 48% of worst5's schedules and 41% of
+    gen-6-3's; it scores under 3% and 18%: on gen-6-3 many suffix
+    schedules tie on their own cost, so most blocks keep the whole
+    suffix."""
+    blocks, covered = scored_blocks(monkeypatch, case, "cost", workers)
+    rows, pairs = totals(blocks)
+    assert 0 < rows < covered
+    schedules = _expected()[(case, "cost")]["evaluations"]
     if case == "worst5":
-        assert 10 * scored < 6 * covered
+        assert 10 * rows < 6 * covered
+        assert 10 * pairs < schedules
+    else:
+        assert 4 * pairs < schedules
 
 
 @pytest.mark.parametrize(
@@ -141,11 +165,39 @@ def test_pruned_cost_scan_matches_golden_run(case, workers, monkeypatch):
 )
 def test_one_worker_scores_the_rows_readme_states(case, objective, scorer, rows, monkeypatch):
     """At one worker the scan's rows scored depend on no timing: exactly
-    the counts README states, of 529 prefix rows covered. The first block,
-    scored while the incumbent is empty, holds one row."""
-    per_block = counted_rows(monkeypatch, scorer)
-    assert scored_rows(monkeypatch, scorer, case, objective, 1) == (rows, 529)
-    assert per_block[0] == 1
+    the counts README states, of 529 prefix rows covered, summed over the
+    objective's block scorers. The first block, scored by ``scorer`` while
+    the incumbent is empty, holds one row."""
+    blocks, covered = scored_blocks(monkeypatch, case, objective, 1)
+    assert (totals(blocks)[0], covered) == (rows, 529)
+    assert blocks[0][:2] == (scorer, 1)
+
+
+@pytest.mark.parametrize("case, pairs", [("worst5", 152_717), ("n6-mix", 412_116)])
+def test_one_worker_cost_scan_scores_the_pairs_readme_states(case, pairs, monkeypatch):
+    """At one worker the cost scan scores exactly the (prefix row, suffix
+    schedule) pairs README states: the first block scores its row against
+    the whole suffix and most others score theirs against the runs that may
+    make the cut (3,066,084 and 8,634,384 pairs when every kept row met the
+    whole suffix)."""
+    blocks, _ = scored_blocks(monkeypatch, case, "cost", 1)
+    assert totals(blocks)[1] == pairs
+    assert {name for name, _, _ in blocks} == set(SCORERS["cost"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_weak_pruning_cost_scan_matches_golden_run(workers, monkeypatch):
+    """``generate_instance(8, 4)`` (82.6M schedules): the cut trims few of
+    its rows' suffixes to a quarter, so almost every block scores the whole
+    suffix in index order, and the result is still the golden one."""
+    blocks = counted_blocks(monkeypatch, "cost")
+    result = a.brute_force(
+        a.generate_instance(8, 4), a.ObjectiveKind.COST, limit=10**9, workers=workers
+    )
+    assert float.hex(result.objective_value) == "0x1.1afe791754409p+6"
+    assert result.schedule == (8, 22, 0, 12, 1, 3, 3, 6)
+    full = [rows for name, rows, _ in blocks if name == "_block_costs"]
+    assert 10 * len(full) > 9 * len(blocks)
 
 
 if __name__ == "__main__":
