@@ -3,7 +3,8 @@
 Joint schedules are indexed in mixed-radix order (user 0 is the most
 significant digit; digit k of user n selects the user's k-th feasible start
 in window order). ``scan_range`` offers a scan's ``SharedScan`` the
-minimum objective over an index range and the first index attaining it.
+minimum objective over an index range of whole prefix rows (below) and the
+first index attaining it.
 
 The kernel never places a pattern itself. It reads the instance's
 ``flows.PlacementTable``: digit k of user n selects row k of the user's
@@ -22,8 +23,8 @@ while the incumbent is empty, a block holds the best-bound row alone, so
 that the blocks after it have a value to prune with. A block scores only
 rows whose bound may beat the incumbent: PAR exactly, cost from per-user
 cross terms, and the pairs rounding may put at the minimum are re-scored
-from their loads, summed in user order, by ``objectives.score_loads``,
-SCR's scorer too.
+from their loads, the block's prefix loads plus each suffix user's row in
+user order, by ``objectives.score_loads``, SCR's scorer too.
 
 No bound needs slack: row entries are >= 0 and adding a nonnegative float
 never lowers a rounded sum. So a schedule's peak is at least its prefix's
@@ -51,19 +52,22 @@ the whole suffix in index order. Either way a pair's score is the same sum, adde
 the same order, so the candidates, re-scored in index order, are those of
 a block that scored every pair.
 
-The ranges of one scan share a ``SharedScan``: the table, the objective,
-the suffix tables, built once, and the incumbent ``best``, which is the
-scan's answer. Each re-scored block offers its first canonical minimum,
-and ``best`` keeps the least (value, index) pair offered. Ranges read it
-before each block: a cost row is skipped when its bound is past the
-candidate cut of the incumbent's value, so its canonical values are all
-above it; a cost block is skipped when its lowest score is. A PAR row is
-skipped when its bound is above the incumbent's value, or equal to it with
-no schedule before the incumbent's index, since a tie goes to the lower
-index. So the range holding the first minimum over the whole scan never
-skips it and offers it, and ``best`` ends at that pair whatever the worker
-count, the timing or the order the ranges run in; only the work done,
-which rows each range skips, depends on them.
+A range starts and ends on a prefix-row edge (lo and hi are multiples of
+the suffix size), so its blocks score whole rows; ``oracle.brute_force``
+cuts a scan into such ranges of at most a chunk. The ranges of one scan
+share a ``SharedScan``: the table, the objective, the suffix tables, built
+once, and the incumbent ``best``, which is the scan's answer. Each
+re-scored block offers its first canonical minimum, and ``best`` keeps the
+least (value, index) pair offered. Ranges read it before each block: a
+cost row is skipped when its bound is past the candidate cut of the
+incumbent's value, so its canonical values are all above it; a cost block
+is skipped when its lowest score is. A PAR row is skipped when its bound
+is above the incumbent's value, or equal to it with no schedule before the
+incumbent's index, since a tie goes to the lower index. So the range
+holding the first minimum over the whole scan never skips it and offers
+it, and ``best`` ends at that pair whatever the worker count, the timing
+or the order the ranges run in; only the work done, which rows each range
+skips, depends on them.
 
 ``_SUFFIX_CAP`` bounds the suffix, a block's row width; the cost path keeps
 a few numbers per suffix schedule: its cost in index and in sorted order,
@@ -114,10 +118,9 @@ _CHUNK = 1 << 12
 _JOINT = 64
 
 
-def _loads(index, user_rows, horizon):
-    """Load profiles of the schedules at ``index`` over the users whose
-    rows are ``user_rows``, summed in user order."""
-    loads = np.zeros((len(index), horizon))
+def _loads(index, user_rows, loads):
+    """``loads`` plus the rows of the schedules at ``index`` over the users
+    whose rows are ``user_rows``, added in place in user order."""
     if user_rows:  # unravel_index rejects an empty shape
         digits = np.unravel_index(index, [len(rows) for rows in user_rows])
         for rows, digit in zip(user_rows, digits):
@@ -254,26 +257,25 @@ def _run_length(sorted_cost, prefix_cost, cut):
 
 
 def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
-    """Scan schedules lo..hi-1 into ``shared``: each re-scored block offers
-    its first canonical minimum, so the range's first minimum is offered
-    unless the incumbent already beats it.
+    """Scan schedules lo..hi-1, whose ends are multiples of ``shared.size``,
+    into ``shared``: each re-scored block offers its first canonical
+    minimum, so the range's first minimum is offered unless the incumbent
+    already beats it.
 
     Users m..N-1 (``_split_point``) form the suffix. A block pairs as many
     prefix schedules of one chunk as fit in ``_BLOCK`` (one when the suffix
     alone exceeds it or ``shared.best`` is empty) with every suffix schedule,
     or, for cost, with the run of the suffix by cost that may make the cut.
     """
-    if hi <= lo:  # else the first prefix row would be scored and offered
-        return
     table, objective = shared.table, shared.objective
     user_rows, coeffs = table.user_rows(), table.coefficients
     horizon, energy = len(coeffs), table.total_energy
     m, size = shared.m, shared.size
     cost = objective is ObjectiveKind.COST
-    q_end = (hi - 1) // size + 1
+    q_end = hi // size
     for c0 in range(lo // size, q_end, _CHUNK):
         chunk = np.arange(c0, min(c0 + _CHUNK, q_end))
-        prefix = _loads(chunk, user_rows[:m], horizon)
+        prefix = _loads(chunk, user_rows[:m], np.zeros((len(chunk), horizon)))
         # a row's bound is <= each of its values as computed (PAR: the same expression)
         if cost:
             prefix_cost = np.einsum("h,ph,ph->p", coeffs, prefix, prefix)
@@ -318,7 +320,6 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
                 break
             block.sort()
             starts = chunk[block] * size
-            # only the range's first and last prefix rows reach past lo..hi-1
             if in_run:
                 column = shared.suffix_order[:width]
                 vals = _run_costs(
@@ -328,20 +329,12 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
                     [digits[:width] for digits in shared.sorted_digits],
                     shared.sorted_cost[:width],
                 )
-                if starts[0] < lo:
-                    vals[0, column < lo - starts[0]] = np.inf
-                if starts[-1] + size > hi:
-                    vals[-1, column >= hi - starts[-1]] = np.inf
+            elif cost:
+                vals = _block_costs(
+                    prefix[block], prefix_cost[block], shared.suffix_weights, shared.suffix_cost
+                )
             else:
-                if cost:
-                    vals = _block_costs(
-                        prefix[block], prefix_cost[block], shared.suffix_weights, shared.suffix_cost
-                    )
-                else:
-                    vals = (horizon * _block_peaks(prefix[block], user_rows[m:])) / energy
-                vals = vals.reshape(len(block), size)
-                vals[0, : max(lo - starts[0], 0)] = np.inf
-                vals[-1, hi - starts[-1] :] = np.inf
+                vals = (horizon * _block_peaks(prefix[block], user_rows[m:])) / energy
             vals = vals.ravel()
             if cost:
                 low = vals.min()
@@ -355,7 +348,9 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
             candidates = starts[sel // width] + (column[rest] if in_run else rest)
             # in index order, so the first canonical minimum is offered
             candidates.sort()
-            canonical = score_loads(objective, _loads(candidates, user_rows, horizon), coeffs, energy)
+            # the block's prefix loads plus each suffix user's row, in user order
+            loads = _loads(candidates % size, user_rows[m:], prefix[candidates // size - c0])
+            canonical = score_loads(objective, loads, coeffs, energy)
             k = int(np.argmin(canonical))
             shared.offer(float(canonical[k]), int(candidates[k]))
 

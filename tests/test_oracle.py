@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import atomsched as a
-from atomsched import _kernels, oracle
+from atomsched import _kernels
 from atomsched.errors import TooLargeError
 from atomsched.objectives import score_loads
 from conftest import PRICES, appliances
@@ -176,25 +177,27 @@ def scan_range_sequential(lo, hi, table, objective):
 @pytest.mark.parametrize("objective", [COST, PAR], ids=["cost", "par"])
 def test_numpy_kernel_matches_sequential_kernel(objective, monkeypatch):
     """The numpy kernel against the plain-Python reference, under each
-    of GEOMETRIES, on ranges that start and end inside a block, and on
-    empty and reversed ranges, which give (inf, -1)."""
+    of GEOMETRIES, on ranges of whole prefix rows (the only ranges
+    ``brute_force`` passes) that start and end inside a block, and under
+    the small geometries cross chunks, and on empty and reversed ranges,
+    which give (inf, -1)."""
     for cap, block_cap, chunk, joint in GEOMETRIES:
         set_geometry(monkeypatch, cap, block_cap, chunk, joint)
         for inst in kernel_instances():
             table = a.PlacementTable(inst)
             args = (table, objective)
-            total = a.enumeration_size(inst)
             _, size = _kernels._split_point(table.radices)
-            block = size * max(1, block_cap // size)
+            rows = a.enumeration_size(inst) // size
+            block = max(1, block_cap // size)
             ranges = [
-                (0, total),
-                (total // 3, 2 * total // 3 + 1),
-                (total - 1, total),
-                (block // 2, min(total, 2 * block + block // 3)),
-                (total // 2, total // 2),
-                (total // 2 + 1, total // 3),
+                (0, rows),
+                (rows // 3, 2 * rows // 3 + 1),
+                (rows - 1, rows),
+                (block // 2, min(rows, 2 * block + block // 3 + 1)),
+                (rows // 2, rows // 2),
+                (rows // 2 + 1, rows // 3),
             ]
-            for lo, hi in ranges:
+            for lo, hi in ((size * r0, size * r1) for r0, r1 in ranges):
                 expected = scan_alone(lo, hi, *args)
                 if lo >= hi:
                     assert expected == (np.inf, -1)
@@ -262,17 +265,17 @@ def sorted_run_tie_instance():
 
 @pytest.mark.parametrize("objective", [COST, PAR], ids=["cost", "par"])
 def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
-    """The scan, which skips prefix rows whose bound cannot beat the
-    incumbent (for cost, cannot make the candidate cut), against the
-    plain-Python reference that scores every schedule: under each of
-    GEOMETRIES, on the whole range and on ranges that start and end inside
-    a prefix row or a block. For PAR, any slack in a bound, the joint bound
-    of the heavy users included, or an incumbent replaced on a tie, moves a
-    value or an index; for cost, the separable block scores,
-    the cut and the skip meet exact ties and near-ties that differ in their
-    last bits, and the re-scored candidates must still hold the first
-    canonical minimum, also where a block scores its rows against a run of
-    the suffix sorted by cost."""
+    """The scan, which skips prefix rows whose bound cannot beat the incumbent
+    (for cost, cannot make the candidate cut), against the plain-Python
+    reference that scores every schedule: under each of GEOMETRIES, on
+    the whole range and on ranges of whole prefix rows that start and
+    end inside a block or a chunk. For PAR, any slack in a bound, the
+    joint bound of the heavy users included, or an incumbent replaced on
+    a tie, moves a value or an index; for cost, the separable block
+    scores, the cut and the skip meet exact ties and near-ties that
+    differ in their last bits, and the re-scored candidates must still
+    hold the first canonical minimum, also where a block scores its rows
+    against a run of the suffix sorted by cost."""
     for inst in [*tied_instances(200), *regrouping_instances(), sorted_run_tie_instance()]:
         table = a.PlacementTable(inst)
         total = a.enumeration_size(inst)
@@ -280,13 +283,13 @@ def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
         for cap, block_cap, chunk, joint in GEOMETRIES:
             set_geometry(monkeypatch, cap, block_cap, chunk, joint)
             _, size = _kernels._split_point(table.radices)
-            block = size * max(1, block_cap // size)
+            rows, block = total // size, max(1, block_cap // size)
             ranges = [
-                (0, total),
-                (size // 2, total - size // 3),
-                (block // 2, min(total, 2 * block + block // 3)),
+                (0, rows),
+                (1, max(1, rows - 1)),
+                (block // 2, min(rows, 2 * block + block // 3 + 1)),
             ]
-            for lo, hi in ranges:
+            for lo, hi in ((size * r0, size * r1) for r0, r1 in ranges):
                 if (lo, hi) not in expected:
                     expected[lo, hi] = scan_range_sequential(lo, hi, table, objective)
                 got = scan_alone(lo, hi, table, objective)
@@ -435,76 +438,111 @@ def test_default_workers_are_the_cpus_the_process_may_use(monkeypatch):
     assert a.resolve_workers(None) == (os.cpu_count() or 1)
 
 
-def test_an_error_in_a_range_leaves_brute_force(monkeypatch):
-    """A range's exception is raised by ``brute_force``, not dropped with
-    the range: from a block scorer that fails in every range, and from the
-    first range alone, which the calling thread scans, or the later ones
-    alone, which pool threads scan. The call returns once every range that
-    started has stopped, and leaves no thread behind. The one-range errors
-    are raised after the range's scan: a later range may skip every block,
-    so a scorer there need not run."""
-
-    def failing(*args):
-        raise MemoryError("block")
-
-    monkeypatch.setattr(oracle, "_MIN_PARALLEL_SIZE", 1)
-    inst, threads = a.generate_instance(3, 1), threading.active_count()
-    with monkeypatch.context() as patched:
-        patched.setattr(_kernels, "_block_costs", failing)
-        with pytest.raises(MemoryError, match="block"):
-            a.brute_force(inst, COST, workers=2)
-    assert threading.active_count() == threads
-    scan_range = _kernels.scan_range
-    for fails in (lambda lo: lo == 0, lambda lo: lo > 0):
-        started, stopped = [], []
-
-        def scan(lo, hi, shared):
-            started.append(lo)
-            try:
-                scan_range(lo, hi, shared)
-                if fails(lo):
-                    raise MemoryError(f"range at {lo}")
-            finally:
-                stopped.append(lo)
-
-        monkeypatch.setattr(_kernels, "scan_range", scan)
-        with pytest.raises(MemoryError, match="range at"):
-            a.brute_force(inst, COST, workers=3)
-        assert threading.active_count() == threads
-        # a range the pool cancels before it starts is never scanned
-        assert 0 in started and sorted(stopped) == sorted(started)
+#: the kernel entry point, which ``recorded_scans`` wraps
+SCAN_RANGE = _kernels.scan_range
 
 
-def test_the_calling_thread_scans_the_first_range(monkeypatch):
-    """The range at index 0 runs on the calling thread and every later
-    range on a pool thread; a one-range scan, at one worker or below
-    ``_MIN_PARALLEL_SIZE``, starts no thread."""
-    scan_range, ran, starts = _kernels.scan_range, [], []
-    start = threading.Thread.start
+def recorded_scans(monkeypatch, hold=None):
+    """Patch ``_kernels.scan_range`` to record each call's (lo, hi, thread
+    id) in the returned list; ``hold(lo, on_pool)``, if given, runs before
+    the piece is scanned."""
+    calls, caller = [], threading.get_ident()
 
     def scan(lo, hi, shared):
-        ran.append((lo, threading.get_ident()))
-        scan_range(lo, hi, shared)
+        calls.append((lo, hi, threading.get_ident()))
+        if hold is not None:
+            hold(lo, threading.get_ident() != caller)
+        SCAN_RANGE(lo, hi, shared)
+
+    monkeypatch.setattr(_kernels, "scan_range", scan)
+    return calls
+
+
+@pytest.mark.parametrize("workers,pieces", [(1, 5), (2, 6), (3, 6)])
+def test_every_piece_is_scanned_once(workers, pieces, monkeypatch):
+    """``brute_force`` cuts the prefix rows into equal pieces of whole rows,
+    at most ``_CHUNK`` each and as many for each thread, and its threads
+    take them from one cursor: every piece is scanned exactly once, by at
+    most ``workers`` threads, and the answer does not change.
+    ``generate_instance(4, 1)`` has 22 prefix rows of 2,772 schedules, so
+    5-row chunks make 5 chunks: 5 pieces for one thread, 6 for two or
+    three."""
+    monkeypatch.setattr(_kernels, "_CHUNK", 5)
+    inst, size = a.generate_instance(4, 1), 2772
+    assert _kernels._split_point(a.PlacementTable(inst).radices) == (1, size)
+    for objective in (COST, PAR):
+        expected = a.brute_force(inst, objective, workers=1)
+        calls = recorded_scans(monkeypatch)
+        assert a.brute_force(inst, objective, workers=workers) == expected
+        edges = [size * (22 * k // pieces) for k in range(pieces + 1)]
+        assert sorted((lo, hi) for lo, hi, _ in calls) == list(zip(edges, edges[1:]))
+        assert all(hi - lo <= 5 * size for lo, hi, _ in calls)
+        assert len({thread for _, _, thread in calls}) <= workers
+        assert edges[-1] == a.enumeration_size(inst)
+
+
+def test_a_one_chunk_scan_starts_no_thread(monkeypatch):
+    """A scan whose prefix rows fit one ``_CHUNK`` chunk is one piece, which
+    the calling thread scans without starting a thread, at any worker
+    count."""
+    starts, start, caller = [], threading.Thread.start, threading.get_ident()
 
     def counted_start(thread):
         starts.append(thread)
         start(thread)
 
-    monkeypatch.setattr(_kernels, "scan_range", scan)
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-    caller, inst = threading.get_ident(), a.generate_instance(3, 1)
-    assert a.enumeration_size(inst) < oracle._MIN_PARALLEL_SIZE
-    for workers in (1, 2):
-        ran.clear()
-        a.brute_force(inst, PAR, workers=workers)
-        assert (ran, starts) == ([(0, caller)], [])
-    monkeypatch.setattr(oracle, "_MIN_PARALLEL_SIZE", 1)
-    ran.clear()
-    a.brute_force(inst, PAR, workers=3)
-    ran.sort()
-    assert [lo for lo, _ in ran] == [0, 3388, 6776]
-    assert ran[0][1] == caller and caller not in {ident for _, ident in ran[1:]}
-    assert 1 <= len(starts) <= 2
+    for inst in (a.generate_instance(3, 1), a.generate_instance(5, 1)):
+        total = a.enumeration_size(inst)
+        for workers in (1, 2, 3, 8):
+            calls = recorded_scans(monkeypatch)
+            a.brute_force(inst, PAR, workers=workers)
+            assert (calls, starts) == ([(0, total, caller)], []), (total, workers)
+
+
+@pytest.mark.parametrize("on_pool", [False, True], ids=["caller", "pool"])
+def test_an_error_in_a_piece_leaves_brute_force(on_pool, monkeypatch):
+    """An exception from a piece that the calling thread scans, or that a
+    pool thread scans, is raised by ``brute_force`` once every thread has
+    stopped, and leaves no thread behind; the cursor hands out no piece
+    after it. Each of the two threads takes one of the 6 pieces; the one
+    that does not fail is held in its piece until the error is raised, so
+    it takes no other. A block scorer that fails on every thread is raised
+    as well."""
+
+    def failing(*args):
+        raise MemoryError("block")
+
+    monkeypatch.setattr(_kernels, "_CHUNK", 4)
+    inst, threads = a.generate_instance(4, 1), threading.active_count()
+    with monkeypatch.context() as patched:
+        patched.setattr(_kernels, "_block_costs", failing)
+        with pytest.raises(MemoryError, match="block"):
+            a.brute_force(inst, COST, workers=3)
+    assert threading.active_count() == threads
+
+    both, raised, stopped = threading.Barrier(2, timeout=60), threading.Event(), []
+
+    def hold(lo, pool_thread):
+        try:
+            if raised.is_set():  # a piece handed out after the error
+                return
+            both.wait()
+            if pool_thread == on_pool:
+                raised.set()
+                raise MemoryError(f"piece at {lo}")
+            # give the failing thread time to stop the cursor
+            assert raised.wait(timeout=60)
+            time.sleep(0.05)
+        finally:
+            stopped.append(lo)
+
+    calls = recorded_scans(monkeypatch, hold)
+    with pytest.raises(MemoryError, match="piece at"):
+        a.brute_force(inst, COST, workers=2)
+    assert threading.active_count() == threads
+    assert len(calls) == 2 and len({thread for _, _, thread in calls}) == 2
+    assert sorted(stopped) == sorted(lo for lo, _, _ in calls)
 
 
 def test_concurrent_scans_keep_their_own_suffix_tables():
@@ -540,24 +578,33 @@ def outcome(result):
     return float.hex(result.objective_value), result.schedule, result.evaluations
 
 
-def test_shared_incumbent_keeps_the_one_range_result():
-    """Ranges that share one incumbent, every scan cut into 2-7 ranges on
-    more threads than cores, under a short thread switch interval, so that
-    a range reads or lowers the incumbent at any point of another's block
-    loop. On instances where many schedules tie, the merged value, schedule
-    and evaluation count must be those of a one-range scan."""
+def test_shared_incumbent_keeps_the_one_range_result(monkeypatch):
+    """Pieces that share one incumbent, every scan cut into one-row pieces
+    for 2-7 threads, more than there are cores, under a short thread switch
+    interval, so that a piece reads or lowers the incumbent at any point of
+    another's block loop, and threads take pieces from the cursor at once.
+    The flat instances have a 529-schedule suffix, so that they have 23
+    prefix rows. The pieces scanned must tile the scan once, and on
+    instances where many schedules tie, the value, schedule and evaluation
+    count must be those of a one-thread scan."""
     dish_washer = a.catalog_appliance("dish_washer")
     flat = [a.ProblemInstance(24, [dish_washer] * k, (0.25,) * 24) for k in (3, 4)]
+    monkeypatch.setattr(_kernels, "_CHUNK", 1)
     interval = sys.getswitchinterval()
     try:
-        with patch.object(oracle, "_MIN_PARALLEL_SIZE", 1), ThreadPoolExecutor(1) as pool:
+        with ThreadPoolExecutor(1) as pool:
             sys.setswitchinterval(1e-6)
-            for inst in [*flat, n6_mix()]:
+            for inst, cap in [*((inst, 23**2) for inst in flat), (n6_mix(), _kernels._SUFFIX_CAP)]:
+                monkeypatch.setattr(_kernels, "_SUFFIX_CAP", cap)
                 for objective in (COST, PAR):
                     expected = outcome(a.brute_force(inst, objective, workers=1))
                     for workers in range(2, 8):
+                        calls = recorded_scans(monkeypatch)
                         future = pool.submit(a.brute_force, inst, objective, workers=workers)
                         assert outcome(future.result(timeout=120)) == expected, (inst, objective, workers)
+                        pieces = sorted((lo, hi) for lo, hi, _ in calls)
+                        assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
+                        assert pieces[-1][1] == a.enumeration_size(inst)
     finally:
         sys.setswitchinterval(interval)
 
@@ -584,9 +631,10 @@ TINY_PRICE = a.ProblemInstance(
 @example(TINY_PRICE, COST)
 def test_optimum_lies_between_scr_bounds(instance, objective):
     """LB <= optimum <= UB with the acceptance suite's slack; repeat runs
-    give the same answers; and 1, 2 and 3 workers agree when every scan is
-    cut into ranges, so ranges split blocks."""
-    with patch.object(oracle, "_MIN_PARALLEL_SIZE", 1):
+    give the same answers; and 1, 2 and 3 workers agree when the suffix
+    holds at most SMALL_BLOCK schedules and every prefix row is a chunk,
+    so that most scans are cut into pieces that threads scan."""
+    with patch.object(_kernels, "_SUFFIX_CAP", SMALL_BLOCK), patch.object(_kernels, "_CHUNK", 1):
         results = [a.brute_force(instance, objective, workers=w) for w in (1, 2, 3, 1)]
     assert all(result == results[0] for result in results)
     bounds = a.successive_convex_relaxation(instance, objective)
@@ -611,25 +659,29 @@ def test_objective_must_be_an_objective_kind(dish_washer_instance):
         a.brute_force(dish_washer_instance, None)
 
 
-def test_partition_independence():
-    """A scan's answer is its incumbent: 2, 3 and 7 pieces of the range
-    scanned into one ``SharedScan`` in ascending, descending and shuffled
-    order must leave the whole range's (value, index) pair under either
-    objective, also on instances where many schedules tie exactly."""
+def test_partition_independence(monkeypatch):
+    """A scan's answer is its incumbent: 2, 3 and 7 pieces of whole prefix
+    rows scanned into one ``SharedScan`` in ascending, descending and
+    shuffled order must leave the whole range's (value, index) pair under
+    either objective and each of GEOMETRIES, also on instances where many
+    schedules tie exactly."""
     rng = np.random.default_rng(3)
-    for inst in [a.generate_instance(3, 11), *tied_instances(30)]:
-        table = a.PlacementTable(inst)
-        total = a.enumeration_size(inst)
-        for objective in (COST, PAR):
-            whole = scan_alone(0, total, table, objective)
-            for pieces in (2, 3, 7):
-                bounds = np.linspace(0, total, pieces + 1, dtype=int).tolist()
-                ranges = list(zip(bounds, bounds[1:]))
-                for order in (ranges, ranges[::-1], rng.permutation(ranges).tolist()):
-                    shared = _kernels.SharedScan(table, objective)
-                    for lo, hi in order:
-                        _kernels.scan_range(lo, hi, shared)
-                    assert shared.best == whole, (inst, objective, pieces, order)
+    for geometry in GEOMETRIES:
+        set_geometry(monkeypatch, *geometry)
+        for inst in [a.generate_instance(3, 11), *tied_instances(30)]:
+            table = a.PlacementTable(inst)
+            total = a.enumeration_size(inst)
+            _, size = _kernels._split_point(table.radices)
+            for objective in (COST, PAR):
+                whole = scan_alone(0, total, table, objective)
+                for pieces in (2, 3, 7):
+                    bounds = (size * np.linspace(0, total // size, pieces + 1, dtype=int)).tolist()
+                    ranges = list(zip(bounds, bounds[1:]))
+                    for order in (ranges, ranges[::-1], rng.permutation(ranges).tolist()):
+                        shared = _kernels.SharedScan(table, objective)
+                        for lo, hi in order:
+                            _kernels.scan_range(lo, hi, shared)
+                        assert shared.best == whole, (geometry, inst, objective, pieces, order)
 
 
 def test_too_large_reports_exact_size(two_tier_coefficients):
