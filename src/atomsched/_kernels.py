@@ -14,17 +14,18 @@ added in user order.
 
 The scan is split over blocks that pair a few schedules of the first users
 (the prefix, possibly empty) with every schedule of the last users (the
-suffix, never empty). Prefix rows are taken in chunks of up to ``_CHUNK``:
-a chunk builds its rows' loads and bounds once, and its blocks take its
-rows in order of bound (cost: of the prefix's own cost, which the bound
-never falls with), ties by index, so the rows that may beat the incumbent
-are a leading run of that order and the most promising are scored first;
-while the incumbent is empty, a block holds the best-bound row alone, so
-that the blocks after it have a value to prune with. A block scores only
-rows whose bound may beat the incumbent: PAR exactly, cost from per-user
-cross terms, and the pairs rounding may put at the minimum are re-scored
-from their loads, the block's prefix loads plus each suffix user's row in
-user order, by ``objectives.score_loads``, SCR's scorer too.
+suffix, never empty). A call scans one chunk of whole prefix rows, at most
+``_CHUNK`` of them: it builds its rows' loads and bounds once, and its
+blocks take its rows in order of bound (cost: of the prefix's own cost,
+which the bound never falls with), ties by index, so the rows that may
+beat the incumbent are a leading run of that order and the most promising
+are scored first; while the incumbent is empty, a block holds the
+best-bound row alone, so that the blocks after it have a value to prune
+with. A block scores only rows whose bound may beat the incumbent: PAR
+exactly, cost from per-user cross terms, and the pairs rounding may put at
+the minimum are re-scored from their loads, the block's prefix loads plus
+each suffix user's row in user order, by ``objectives.score_loads``, SCR's
+scorer too.
 
 No bound needs slack: row entries are >= 0 and adding a nonnegative float
 never lowers a rounded sum. So a schedule's peak is at least its prefix's
@@ -33,11 +34,12 @@ peak and each suffix user's lowest row peak, and, as every cross term is
 least the prefix's cost plus the suffix's lowest. A PAR row that passes its
 bound is then bounded by its lowest peak over the joint starts of the
 heaviest suffix users (ranked by lowest row peak, at most ``_JOINT`` joint
-starts): their rows are added to the prefix loads one user at a time, in
-user order. Each slot sum is then the canonical sum with some nonnegative
-terms left out, so it is never above it, and the bound is at most each of
-the row's values as computed. Pre-summing the heavy rows would not keep
-this order and could exceed a canonical sum by an ulp.
+starts): the minimum over those starts of ``_block_peaks``, the block
+scorer's own code, which adds their rows to the prefix loads one user at a
+time, in user order. Each slot sum is then the canonical sum with some
+nonnegative terms left out, so it is never above it, and the bound is at
+most each of the row's values as computed. Pre-summing the heavy rows
+would not keep this order and could exceed a canonical sum by an ulp.
 
 By the pair bound, the pairs of a cost row that may make the candidate cut
 are a leading run of the suffix schedules sorted by their own cost, ties by
@@ -48,13 +50,13 @@ it can only come out too long. When the run is at most a quarter of the
 suffix, the block takes as many rows as fill ``_BLOCK`` with pairs of the
 run and scores each row against the run alone, gathering each suffix
 user's cross terms; otherwise, as while the incumbent is empty, it scores
-the whole suffix in index order. Either way a pair's score is the same sum, added in
-the same order, so the candidates, re-scored in index order, are those of
-a block that scored every pair.
+the whole suffix in index order. Either way a pair's score is the same
+sum, added in the same order, so the candidates, re-scored in index
+order, are those of a block that scored every pair.
 
 A range starts and ends on a prefix-row edge (lo and hi are multiples of
 the suffix size), so its blocks score whole rows; ``oracle.brute_force``
-cuts a scan into such ranges of at most a chunk. The ranges of one scan
+cuts a scan into such ranges, a chunk each. The ranges of one scan
 share a ``SharedScan``: the table, the objective, the suffix tables, built
 once, and the incumbent ``best``, which is the scan's answer. Each
 re-scored block offers its first canonical minimum, and ``best`` keeps the
@@ -79,9 +81,9 @@ several times more per element than passes over longer ones; a larger
 suffix would instead widen the rows the bounds skip. A chunk of c prefix
 rows holds c * (H + 4) numbers: each row's loads, index, bound, place in
 the bound order and, for cost, the prefix's own cost; 0.9 MB at c = 4096
-and H = 24. The joint PAR bound takes at most ``_BLOCK // (joint starts *
-H)`` rows at once, so its temporaries stay within ``_BLOCK`` floats, as a
-block's do.
+and H = 24. The joint PAR bound runs ``_block_peaks`` on at most
+``_BLOCK // (joint starts * H)`` rows at once, so its temporaries stay
+within ``_BLOCK`` floats, as a block's do.
 
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
 terms of every slot are added in user order however the blocks fall, so a
@@ -103,7 +105,7 @@ import threading
 import numpy as np
 
 from .flows import PlacementTable
-from .objectives import ObjectiveKind, score_loads
+from .objectives import ObjectiveKind, par_ratio, score_loads
 
 #: suffix schedules at most, unless the last user alone has more
 _SUFFIX_CAP = 1 << 15
@@ -112,7 +114,7 @@ _SUFFIX_CAP = 1 << 15
 #: last user: H per schedule of the users before it (4 MB at H = 24 when the
 #: last user has 6 starts)
 _BLOCK = 1 << 17
-#: prefix rows per chunk at most
+#: prefix rows per chunk, one ``scan_range`` call of ``oracle.brute_force``, at most
 _CHUNK = 1 << 12
 #: joint starts of the heavy suffix users in the PAR row bound, at most
 _JOINT = 64
@@ -190,16 +192,6 @@ class SharedScan:
                 self.best = (value, index)
 
 
-def _joint_peaks(prefix, heavy_rows):
-    """Each prefix row's lowest peak over the joint starts of the users
-    whose rows are ``heavy_rows``, which slot-major loads gain one user at
-    a time, in user order."""
-    loads = np.ascontiguousarray(prefix.T)
-    for rows in heavy_rows:
-        loads = np.add(loads[:, :, None], rows.T[:, None, :]).reshape(len(loads), -1)
-    return loads.max(axis=0).reshape(len(prefix), -1).min(axis=1)
-
-
 def _block_peaks(prefix, suffix_rows):
     """Peak load of each (prefix row, suffix schedule) pair, in index order.
 
@@ -257,13 +249,13 @@ def _run_length(sorted_cost, prefix_cost, cut):
 
 
 def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
-    """Scan schedules lo..hi-1, whose ends are multiples of ``shared.size``,
-    into ``shared``: each re-scored block offers its first canonical
-    minimum, so the range's first minimum is offered unless the incumbent
-    already beats it.
+    """Scan schedules lo..hi-1, one chunk of whole prefix rows (its ends are
+    multiples of ``shared.size``), into ``shared``: each re-scored block
+    offers its first canonical minimum, so the range's first minimum is
+    offered unless the incumbent already beats it.
 
     Users m..N-1 (``_split_point``) form the suffix. A block pairs as many
-    prefix schedules of one chunk as fit in ``_BLOCK`` (one when the suffix
+    prefix schedules of the chunk as fit in ``_BLOCK`` (one when the suffix
     alone exceeds it or ``shared.best`` is empty) with every suffix schedule,
     or, for cost, with the run of the suffix by cost that may make the cut.
     """
@@ -272,87 +264,85 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
     horizon, energy = len(coeffs), table.total_energy
     m, size = shared.m, shared.size
     cost = objective is ObjectiveKind.COST
-    q_end = hi // size
-    for c0 in range(lo // size, q_end, _CHUNK):
-        chunk = np.arange(c0, min(c0 + _CHUNK, q_end))
-        prefix = _loads(chunk, user_rows[:m], np.zeros((len(chunk), horizon)))
-        # a row's bound is <= each of its values as computed (PAR: the same expression)
+    chunk = np.arange(lo // size, hi // size)
+    prefix = _loads(chunk, user_rows[:m], np.zeros((len(chunk), horizon)))
+    # a row's bound is <= each of its values as computed (PAR: ``par_ratio``, as the values)
+    if cost:
+        prefix_cost = np.einsum("h,ph,ph->p", coeffs, prefix, prefix)
+        bound = prefix_cost + shared.floor
+    else:
+        bound = par_ratio(horizon, np.maximum(prefix.max(1), shared.floor), energy)
+        if shared.heavy_rows:
+            fresh = np.flatnonzero(bound <= shared.best[0])
+            step = max(1, _BLOCK // (shared.joint * horizon))
+            for k in range(0, len(fresh), step):
+                part = fresh[k : k + step]
+                peaks = _block_peaks(prefix[part], shared.heavy_rows)
+                bound[part] = par_ratio(horizon, peaks.reshape(len(part), -1).min(axis=1), energy)
+    # rows by bound (cost: by the prefix's cost, so also by bound, and a
+    # block's first row has its longest run), ties by index: the rows that
+    # may beat the incumbent are a leading run of this order, and the best
+    # of them come first
+    order = np.argsort(prefix_cost if cost else bound, kind="stable")
+    pos = 0
+    while pos < len(order):
+        value, index = shared.best
+        width, in_run = size, False
         if cost:
-            prefix_cost = np.einsum("h,ph,ph->p", coeffs, prefix, prefix)
-            bound = prefix_cost + shared.floor
+            cut = value * shared.cut_factor
+            # the pairs that may make the cut are a leading run of the suffix
+            # by its own cost; a run of at most a quarter of the suffix is
+            # scored alone, in rows that fill a block
+            if index >= 0:
+                run = _run_length(shared.sorted_cost, prefix_cost[order[pos]], cut)
+                if 4 * run <= size:
+                    width, in_run = max(run, 1), True
+        # one row while the incumbent is empty
+        take = max(1, _BLOCK // width) if index >= 0 else 1
+        block, pos = order[pos : pos + take], pos + take
+        if cost:
+            block = block[bound[block] <= cut]
         else:
-            bound = (horizon * np.maximum(prefix.max(1), shared.floor)) / energy
-            if shared.heavy_rows:
-                fresh = np.flatnonzero(bound <= shared.best[0])
-                step = max(1, _BLOCK // (shared.joint * horizon))
-                for k in range(0, len(fresh), step):
-                    part = fresh[k : k + step]
-                    peaks = _joint_peaks(prefix[part], shared.heavy_rows)
-                    bound[part] = (horizon * peaks) / energy
-        # rows by bound (cost: by the prefix's cost, so also by bound, and a
-        # block's first row has its longest run), ties by index: the rows that
-        # may beat the incumbent are a leading run of this order, and the best
-        # of them come first
-        order = np.argsort(prefix_cost if cost else bound, kind="stable")
-        pos = 0
-        while pos < len(order):
-            value, index = shared.best
-            width, in_run = size, False
-            if cost:
-                cut = value * shared.cut_factor
-                # the pairs that may make the cut are a leading run of the suffix
-                # by its own cost; a run of at most a quarter of the suffix is
-                # scored alone, in rows that fill a block
-                if index >= 0:
-                    run = _run_length(shared.sorted_cost, prefix_cost[order[pos]], cut)
-                    if 4 * run <= size:
-                        width, in_run = max(run, 1), True
-            # one row while the incumbent is empty
-            take = max(1, _BLOCK // width) if index >= 0 else 1
-            block, pos = order[pos : pos + take], pos + take
-            if cost:
-                block = block[bound[block] <= cut]
-            else:
-                # a tie goes to the lower index
-                earlier = chunk[block] * size < index
-                block = block[(bound[block] < value) | ((bound[block] == value) & earlier)]
-            if not len(block):
-                break
-            block.sort()
-            starts = chunk[block] * size
-            if in_run:
-                column = shared.suffix_order[:width]
-                vals = _run_costs(
-                    prefix[block],
-                    prefix_cost[block],
-                    shared.suffix_weights,
-                    [digits[:width] for digits in shared.sorted_digits],
-                    shared.sorted_cost[:width],
-                )
-            elif cost:
-                vals = _block_costs(
-                    prefix[block], prefix_cost[block], shared.suffix_weights, shared.suffix_cost
-                )
-            else:
-                vals = (horizon * _block_peaks(prefix[block], user_rows[m:])) / energy
-            vals = vals.ravel()
-            if cost:
-                low = vals.min()
-                if low > cut:
-                    continue
-                sel = np.flatnonzero(vals <= min(low, value) * shared.cut_factor)
-            else:
-                # PAR's values are canonical, so its first minimum is its one candidate
-                sel = np.argmin(vals, keepdims=True)
-            rest = sel % width
-            candidates = starts[sel // width] + (column[rest] if in_run else rest)
-            # in index order, so the first canonical minimum is offered
-            candidates.sort()
-            # the block's prefix loads plus each suffix user's row, in user order
-            loads = _loads(candidates % size, user_rows[m:], prefix[candidates // size - c0])
-            canonical = score_loads(objective, loads, coeffs, energy)
-            k = int(np.argmin(canonical))
-            shared.offer(float(canonical[k]), int(candidates[k]))
+            # a tie goes to the lower index
+            earlier = chunk[block] * size < index
+            block = block[(bound[block] < value) | ((bound[block] == value) & earlier)]
+        if not len(block):
+            break
+        block.sort()
+        starts = chunk[block] * size
+        if in_run:
+            column = shared.suffix_order[:width]
+            vals = _run_costs(
+                prefix[block],
+                prefix_cost[block],
+                shared.suffix_weights,
+                [digits[:width] for digits in shared.sorted_digits],
+                shared.sorted_cost[:width],
+            )
+        elif cost:
+            vals = _block_costs(
+                prefix[block], prefix_cost[block], shared.suffix_weights, shared.suffix_cost
+            )
+        else:
+            vals = par_ratio(horizon, _block_peaks(prefix[block], user_rows[m:]), energy)
+        vals = vals.ravel()
+        if cost:
+            low = vals.min()
+            if low > cut:
+                continue
+            sel = np.flatnonzero(vals <= min(low, value) * shared.cut_factor)
+        else:
+            # PAR's values are canonical, so its first minimum is its one candidate
+            sel = np.argmin(vals, keepdims=True)
+        rest = sel % width
+        candidates = starts[sel // width] + (column[rest] if in_run else rest)
+        # in index order, so the first canonical minimum is offered
+        candidates.sort()
+        # the block's prefix loads plus each suffix user's row, in user order
+        loads = _loads(candidates % size, user_rows[m:], prefix[candidates // size - chunk[0]])
+        canonical = score_loads(objective, loads, coeffs, energy)
+        k = int(np.argmin(canonical))
+        shared.offer(float(canonical[k]), int(candidates[k]))
 
 
 def active_backend() -> str:

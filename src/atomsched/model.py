@@ -58,6 +58,8 @@ class Appliance:
     energy_pattern: tuple[float, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidInstanceError(f"name must be a string, got {self.name!r}")
         object.__setattr__(
             self, "energy_pattern", tuple(float(g) for g in self.energy_pattern)
         )

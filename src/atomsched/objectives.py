@@ -27,6 +27,12 @@ def default_cost_coefficients(horizon: int = 24) -> tuple[float, ...]:
     return tuple(0.2 if (h * 24) // horizon < 8 else 0.3 for h in range(horizon))
 
 
+def par_ratio(horizon: int, peak, total_energy):
+    """``(horizon * peak) / total_energy``: every PAR value and PAR bound is
+    computed here, so a bound rounds as the values it bounds."""
+    return (horizon * peak) / total_energy
+
+
 def score_loads(
     objective: ObjectiveKind,
     loads: np.ndarray,
@@ -42,7 +48,7 @@ def score_loads(
     """
     if objective is ObjectiveKind.COST:
         return np.add.accumulate(coefficients * loads * loads, axis=-1)[..., -1]
-    return loads.shape[-1] * loads.max(axis=-1) / total_energy
+    return par_ratio(loads.shape[-1], loads.max(axis=-1), total_energy)
 
 
 def cost_gradient(

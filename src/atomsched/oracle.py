@@ -71,9 +71,10 @@ def brute_force(
     """The best of every feasible schedule under the objective: each one is
     scored, or skipped with a prefix row (under either objective) whose
     bound proves it no better than the incumbent, a schedule that one of
-    the call's pieces has scored. The calling thread and the pool threads
-    take pieces from one cursor, which hands out none after an exception;
-    the exception is raised once every thread has stopped.
+    the call's pieces has scored. Its threads take pieces, one
+    ``_kernels.scan_range`` call of at most ``_kernels._CHUNK`` prefix rows
+    each, from one cursor, which hands out none after an exception; the
+    exception is raised once every thread has stopped.
 
     Refuses instances whose joint start space exceeds ``limit`` evaluations
     (TooLargeError reports the exact size), a ``limit`` or ``workers`` that

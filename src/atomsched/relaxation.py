@@ -28,7 +28,7 @@ from .errors import InvalidInstanceError, SolverError
 from .flows import PlacementTable, check_flows
 from .ipm import solve_standard_form
 from .model import ProblemInstance, instance_total_energy
-from .objectives import ObjectiveKind
+from .objectives import ObjectiveKind, par_ratio
 
 #: Feasibility tolerance applied to solver output (vs. the 1e-9 used for
 #: exact, hand-built flow matrices).
@@ -105,4 +105,4 @@ def solve_relaxed(
 
 def par_ratio_from_peak(instance: ProblemInstance, peak: float) -> float:
     """Convert a peak load in kWh to the dimensionless PAR ratio."""
-    return instance.horizon * peak / instance_total_energy(instance)
+    return par_ratio(instance.horizon, peak, instance_total_energy(instance))

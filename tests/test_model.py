@@ -159,6 +159,17 @@ def test_appliance_invariant_rejections():
     a.Appliance("ok", np.int64(0), np.int64(23), np.int64(2), (1.0, 1.0))  # numpy ints are integers
 
 
+@pytest.mark.parametrize("name", [["x"], 5, None, b"x"])
+def test_appliance_name_must_be_a_string(name):
+    """An unhashable name would fail SCR with a bare TypeError from the
+    start-set cache, and an int name would serialize to a file that
+    ``parse_instance`` rejects; both are refused where the appliance is
+    built."""
+    message = re.escape(f"name must be a string, got {name!r}")
+    with pytest.raises(InvalidInstanceError, match=message):
+        a.Appliance(name, 0, 23, 2, (1.0, 1.0))
+
+
 def test_numpy_integers_are_stored_as_ints(two_tier_coefficients):
     """A horizon is any integer an appliance window may be. Both are stored
     as plain ints, so the instance still serializes."""

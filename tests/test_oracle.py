@@ -80,7 +80,8 @@ def kernel_instances():
 #: a block cap that cuts the kernel instances into many blocks; under it
 #: some fit one block whole and the last user with 39 starts exceeds it
 SMALL_BLOCK = 30
-#: prefix rows per chunk under the small geometries, so scans cross chunks
+#: prefix rows per chunk under the small geometries, so that ``brute_force``
+#: cuts scans into several pieces
 SMALL_CHUNK = 5
 
 #: (suffix cap, block size, chunk rows, joint starts) tuples: the defaults;
@@ -178,9 +179,8 @@ def scan_range_sequential(lo, hi, table, objective):
 def test_numpy_kernel_matches_sequential_kernel(objective, monkeypatch):
     """The numpy kernel against the plain-Python reference, under each
     of GEOMETRIES, on ranges of whole prefix rows (the only ranges
-    ``brute_force`` passes) that start and end inside a block, and under
-    the small geometries cross chunks, and on empty and reversed ranges,
-    which give (inf, -1)."""
+    ``brute_force`` passes) that start and end inside a block, and on
+    empty and reversed ranges, which give (inf, -1)."""
     for cap, block_cap, chunk, joint in GEOMETRIES:
         set_geometry(monkeypatch, cap, block_cap, chunk, joint)
         for inst in kernel_instances():
@@ -269,7 +269,9 @@ def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
     (for cost, cannot make the candidate cut), against the plain-Python
     reference that scores every schedule: under each of GEOMETRIES, on
     the whole range and on ranges of whole prefix rows that start and
-    end inside a block or a chunk. For PAR, any slack in a bound, the
+    end inside a block, and through ``brute_force`` at one and two
+    workers, which under the small geometries cuts the scan into
+    SMALL_CHUNK-row pieces. For PAR, any slack in a bound, the
     joint bound of the heavy users included, or an incumbent replaced on
     a tie, moves a value or an index; for cost, the separable block
     scores, the cut and the skip meet exact ties and near-ties that
@@ -294,6 +296,14 @@ def test_pruned_scan_matches_sequential_kernel(objective, monkeypatch):
                     expected[lo, hi] = scan_range_sequential(lo, hi, table, objective)
                 got = scan_alone(lo, hi, table, objective)
                 assert got == expected[lo, hi], (cap, block_cap, chunk, joint, inst, lo, hi)
+            value, index = expected[0, total]
+            digits = np.unravel_index(index, table.radices)
+            schedule = tuple(table.starts[table.heads + digits].tolist())
+            for workers in (1, 2):
+                result = a.brute_force(inst, objective, workers=workers)
+                assert (result.objective_value, result.schedule) == (value, schedule), (
+                    cap, block_cap, chunk, joint, inst, workers
+                )
 
 
 def test_cost_cut_absorbs_score_errors_within_its_rounding_budget(monkeypatch):
@@ -419,10 +429,29 @@ def test_tie_break_prefers_earliest_window_position(phev_instance):
 
 
 def test_worker_counts_agree(monkeypatch):
+    """1, 2 and 3 workers give the same outputs under either objective on
+    ``generate_instance(5, 3)``, whose 138 prefix rows 16-row chunks cut
+    into 9 chunks, so that at 2 and 3 workers more than one thread scans:
+    the first thread to take a piece holds it until a second thread has
+    taken one."""
+    monkeypatch.setattr(_kernels, "_CHUNK", 16)
     inst = a.generate_instance(5, 3)
-    results = [a.brute_force(inst, COST, workers=w) for w in (1, 2, 3)]
-    for other in results[1:]:
-        assert other == results[0]
+    _, size = _kernels._split_point(a.PlacementTable(inst).radices)
+    assert a.enumeration_size(inst) // size == 138
+    for objective in (COST, PAR):
+        expected = outcome(a.brute_force(inst, objective, workers=1))
+        for workers in (2, 3):
+            seen, two = set(), threading.Event()
+
+            def hold(lo, on_pool):
+                seen.add(threading.get_ident())
+                if len(seen) > 1:
+                    two.set()
+                two.wait(timeout=60)
+
+            calls = recorded_scans(monkeypatch, hold)
+            assert outcome(a.brute_force(inst, objective, workers=workers)) == expected
+            assert len({thread for _, _, thread in calls}) > 1, (objective, workers)
     # the library reads no worker setting from the environment
     monkeypatch.setenv("ATOMSCHED_MAX_WORKERS", "1")
     assert a.resolve_workers(3) == 3

@@ -74,13 +74,22 @@ SCORERS = {"cost": ("_block_costs", "_run_costs"), "par": ("_block_peaks",)}
 
 def counted_blocks(monkeypatch, objective):
     """A list that collects (scorer, prefix rows, pairs) for each block
-    that one of ``objective``'s block scorers scores."""
-    blocks = []
+    that one of ``objective``'s block scorers scores. The joint PAR bound
+    also runs ``_block_peaks``, on a scan's ``heavy_rows``; those calls
+    score no block and are not collected."""
+    blocks, heavy, scan_range = [], [], _kernels.scan_range
+
+    def scan(lo, hi, shared):
+        heavy.append(getattr(shared, "heavy_rows", None))
+        scan_range(lo, hi, shared)
+
+    monkeypatch.setattr(_kernels, "scan_range", scan)
     for name in SCORERS[objective]:
 
-        def counting(prefix, *args, name=name, score=getattr(_kernels, name)):
-            vals = score(prefix, *args)
-            blocks.append((name, len(prefix), vals.size))
+        def counting(prefix, rows, *args, name=name, score=getattr(_kernels, name)):
+            vals = score(prefix, rows, *args)
+            if not any(rows is suffix for suffix in heavy):
+                blocks.append((name, len(prefix), vals.size))
             return vals
 
         monkeypatch.setattr(_kernels, name, counting)
