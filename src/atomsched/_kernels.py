@@ -17,29 +17,34 @@ The scan is split over blocks that pair a few schedules of the first users
 suffix, never empty). A call scans one chunk of whole prefix rows, at most
 ``_CHUNK`` of them: it builds its rows' loads and bounds once, and its
 blocks take its rows in order of bound (cost: of the prefix's own cost,
-which the bound never falls with), ties by index, so the rows that may
-beat the incumbent are a leading run of that order and the most promising
-are scored first; while the incumbent is empty, a block holds the
-best-bound row alone, so that the blocks after it have a value to prune
-with. A block scores only rows whose bound may beat the incumbent: PAR
-exactly, cost from per-user cross terms, and the pairs rounding may put at
-the minimum are re-scored from their loads, the block's prefix loads plus
-each suffix user's row in user order, by ``objectives.score_loads``, SCR's
-scorer too.
+which the bound never falls with), ties by index, so the rows that may beat
+the incumbent are a leading run of that order and the most promising are
+scored first; while the incumbent is empty, a block holds the best-bound
+row alone, found before most PAR rows are bounded (below), so that the
+blocks after it have a value to prune with. A block scores only rows whose
+bound may beat the incumbent: PAR exactly, cost from per-user cross terms,
+and the pairs rounding may put at the minimum are re-scored from their
+loads, the block's prefix loads plus each suffix user's row in user order,
+by ``objectives.score_loads``, SCR's scorer too.
 
 No bound needs slack: row entries are >= 0 and adding a nonnegative float
 never lowers a rounded sum. So a schedule's peak is at least its prefix's
-peak and each suffix user's lowest row peak, and, as every cross term is
->= 0, a pair's cost score is at least fl(prefix cost + suffix cost), so at
-least the prefix's cost plus the suffix's lowest. A PAR row that passes its
-bound is then bounded by its lowest peak over the joint starts of the
-heaviest suffix users (ranked by lowest row peak, at most ``_JOINT`` joint
-starts): the minimum over those starts of ``_block_peaks``, the block
+peak and each suffix user's lowest row peak (a PAR row's simple bound),
+and, as every cross term is >= 0, a pair's cost score is at least
+fl(prefix cost + suffix cost), so at least the prefix's cost plus the suffix's
+lowest. A PAR row's joint bound is its lowest peak over the joint starts of
+the heaviest suffix users (ranked by lowest row peak, at most ``_JOINT``
+joint starts): the minimum over those starts of ``_block_peaks``, the block
 scorer's own code, which adds their rows to the prefix loads one user at a
 time, in user order. Each slot sum is then the canonical sum with some
 nonnegative terms left out, so it is never above it, and the bound is at
-most each of the row's values as computed. Pre-summing the heavy rows
-would not keep this order and could exceed a canonical sum by an ulp.
+most each of the row's values as computed. Pre-summing the heavy rows would
+not keep this order and could exceed a canonical sum by an ulp. Nor is it
+below the simple bound: the heavy users, if any, include the one setting
+the floor. So while the incumbent is empty, rows are bounded jointly in
+order of simple bound up to the first step holding one whose joint bound is
+the lowest simple bound, the first row by (joint bound, index), or all
+rows; then only the rows not yet bounded whose bound may still win are.
 
 By the pair bound, the pairs of a cost row that may make the candidate cut
 are a leading run of the suffix schedules sorted by their own cost, ties by
@@ -81,9 +86,7 @@ several times more per element than passes over longer ones; a larger
 suffix would instead widen the rows the bounds skip. A chunk of c prefix
 rows holds c * (H + 4) numbers: each row's loads, index, bound, place in
 the bound order and, for cost, the prefix's own cost; 0.9 MB at c = 4096
-and H = 24. The joint PAR bound runs ``_block_peaks`` on at most
-``_BLOCK // (joint starts * H)`` rows at once, so its temporaries stay
-within ``_BLOCK`` floats, as a block's do.
+and H = 24.
 
 Adding a row's zero entries leaves a slot's sum unchanged, and the nonzero
 terms of every slot are added in user order however the blocks fall, so a
@@ -118,6 +121,8 @@ _BLOCK = 1 << 17
 _CHUNK = 1 << 12
 #: joint starts of the heavy suffix users in the PAR row bound, at most
 _JOINT = 64
+#: prefix rows per joint-bound step while the incumbent is empty, at most
+_FIRST = 64
 
 
 def _loads(index, user_rows, loads):
@@ -210,6 +215,26 @@ def _block_peaks(prefix, suffix_rows):
     return peaks.reshape(*[len(r) for r in suffix_rows[::-1]], len(prefix)).transpose().ravel()
 
 
+def _joint_bound(shared, prefix, bound, rows, low=None):
+    """Raise ``bound`` of ``rows`` to their joint PAR bound, in order, in steps
+    within ``_BLOCK`` floats or, given ``low``, of at most ``_FIRST`` rows up
+    to the first holding a bound ``low``; returns the rows bounded."""
+    horizon, energy = prefix.shape[1], shared.table.total_energy
+    step = min(max(1, _BLOCK // (shared.joint * horizon)), _BLOCK if low is None else _FIRST)
+    for k in range(0, len(rows), step):
+        part = rows[k : k + step]
+        peaks = _block_peaks(prefix[part], shared.heavy_rows)
+        bound[part] = par_ratio(horizon, peaks.reshape(len(part), -1).min(axis=1), energy)
+        if low is not None and (bound[part] == low).any():
+            return rows[: k + step]
+    return rows
+
+
+def _may_win(bound, starts, value, index):
+    """Which PAR rows (bounds, first schedules) may beat (value, index)."""
+    return (bound < value) | ((bound == value) & (starts < index))
+
+
 def _block_costs(prefix, prefix_cost, suffix_weights, suffix_cost):
     """Cost score of each (prefix row, suffix schedule) pair, in index order:
     the prefix's and suffix's own costs plus ``2 a . (P * S)``, which is one
@@ -258,6 +283,7 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
     prefix schedules of the chunk as fit in ``_BLOCK`` (one when the suffix
     alone exceeds it or ``shared.best`` is empty) with every suffix schedule,
     or, for cost, with the run of the suffix by cost that may make the cut.
+    PAR rows get joint bounds up to the first block's row, then where they may win.
     """
     table, objective = shared.table, shared.objective
     user_rows, coeffs = table.user_rows(), table.coefficients
@@ -272,21 +298,22 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
         bound = prefix_cost + shared.floor
     else:
         bound = par_ratio(horizon, np.maximum(prefix.max(1), shared.floor), energy)
-        if shared.heavy_rows:
-            fresh = np.flatnonzero(bound <= shared.best[0])
-            step = max(1, _BLOCK // (shared.joint * horizon))
-            for k in range(0, len(fresh), step):
-                part = fresh[k : k + step]
-                peaks = _block_peaks(prefix[part], shared.heavy_rows)
-                bound[part] = par_ratio(horizon, peaks.reshape(len(part), -1).min(axis=1), energy)
-    # rows by bound (cost: by the prefix's cost, so also by bound, and a
-    # block's first row has its longest run), ties by index: the rows that
-    # may beat the incumbent are a leading run of this order, and the best
-    # of them come first
+        joint = np.zeros(len(chunk), bool)  # rows whose joint bound is taken
+    pending = not cost and bool(shared.heavy_rows)
+    # rows by bound, ties by index (module docstring); cost's order by the
+    # prefix's cost is also by bound and gives a block's first row its longest run
     order = np.argsort(prefix_cost if cost else bound, kind="stable")
     pos = 0
     while pos < len(order):
         value, index = shared.best
+        if pending:  # joint PAR bounds: the first row's search, then one pass
+            tail, pending = np.sort(order[pos:]), index < 0
+            if pending:
+                joint[_joint_bound(shared, prefix, bound, order, bound[order[0]])] = True
+            else:
+                may = ~joint[tail] & _may_win(bound[tail], chunk[tail] * size, value, index)
+                _joint_bound(shared, prefix, bound, tail[may])
+            order[pos:] = tail[np.argsort(bound[tail], kind="stable")]
         width, in_run = size, False
         if cost:
             cut = value * shared.cut_factor
@@ -303,9 +330,7 @@ def scan_range(lo: int, hi: int, shared: SharedScan) -> None:
         if cost:
             block = block[bound[block] <= cut]
         else:
-            # a tie goes to the lower index
-            earlier = chunk[block] * size < index
-            block = block[(bound[block] < value) | ((bound[block] == value) & earlier)]
+            block = block[_may_win(bound[block], chunk[block] * size, value, index)]
         if not len(block):
             break
         block.sort()

@@ -458,6 +458,43 @@ def test_worker_counts_agree(monkeypatch):
     assert a.resolve_workers(None) == len(os.sched_getaffinity(0))
 
 
+def test_par_chunks_find_their_first_row_or_start_with_an_incumbent(monkeypatch):
+    """Under 16-row chunks ``generate_instance(5, 3)`` is 9 PAR chunks, and
+    under 1-row chunks ``generate_instance(4, 1)``'s 22 prefix rows are
+    one-row chunks, and at 3 workers 24 pieces, two of them empty; both
+    have a heavy suffix user. At 1, 2 and 3 workers, a chunk scanned while
+    the incumbent is empty searches for its first row (the first non-empty
+    piece; the pieces after row 0 wait until a search has started), a
+    chunk scanned after a piece has offered starts with an incumbent, and
+    the result is the one-worker result under the default chunk."""
+    joint_bound = _kernels._joint_bound
+    for chunk, inst in ((16, a.generate_instance(5, 3)), (1, a.generate_instance(4, 1))):
+        expected = outcome(a.brute_force(inst, PAR, workers=1))
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        for workers in (1, 2, 3):
+            searches, searching, entries = [], threading.Event(), []
+
+            def recorded(shared, prefix, bound, rows, low=None):
+                if low is not None:
+                    searches.append(len(rows))
+                    searching.set()
+                return joint_bound(shared, prefix, bound, rows, low)
+
+            def scan(lo, hi, shared):
+                if lo:
+                    searching.wait(timeout=10)
+                entries.append((lo, hi, shared.best[1] >= 0))
+                SCAN_RANGE(lo, hi, shared)
+
+            monkeypatch.setattr(_kernels, "_joint_bound", recorded)
+            monkeypatch.setattr(_kernels, "scan_range", scan)
+            assert outcome(a.brute_force(inst, PAR, workers=workers)) == expected
+            assert searches and any(started for _, _, started in entries), (chunk, workers)
+            if chunk == 1:
+                assert all(hi - lo <= 2772 for lo, hi, _ in entries)  # a row's schedules
+                assert (workers == 3) == any(lo == hi for lo, hi, _ in entries)
+
+
 def test_default_workers_are_the_cpus_the_process_may_use(monkeypatch):
     """Under taskset or a cpuset the default is the allowed CPUs, not the
     host's CPU count."""

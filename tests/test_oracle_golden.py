@@ -13,10 +13,12 @@ them only for a change that is meant to move the oracle's results:
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 import atomsched as a
 from atomsched import _kernels
+from atomsched.objectives import par_ratio
 from test_oracle import kernel_instances, n6_mix
 
 GOLDEN = pathlib.Path(__file__).with_name("data") / "oracle_golden.json"
@@ -72,11 +74,12 @@ def test_oracle_matches_golden_run(case, objective, workers):
 SCORERS = {"cost": ("_block_costs", "_run_costs"), "par": ("_block_peaks",)}
 
 
-def counted_blocks(monkeypatch, objective):
+def counted_blocks(monkeypatch, objective, bounded=None):
     """A list that collects (scorer, prefix rows, pairs) for each block
     that one of ``objective``'s block scorers scores. The joint PAR bound
     also runs ``_block_peaks``, on a scan's ``heavy_rows``; those calls
-    score no block and are not collected."""
+    score no block and are not collected, but the rows each bounds are
+    appended to ``bounded`` if given."""
     blocks, heavy, scan_range = [], [], _kernels.scan_range
 
     def scan(lo, hi, shared):
@@ -90,17 +93,20 @@ def counted_blocks(monkeypatch, objective):
             vals = score(prefix, rows, *args)
             if not any(rows is suffix for suffix in heavy):
                 blocks.append((name, len(prefix), vals.size))
+            elif bounded is not None:
+                bounded.append(len(prefix))
             return vals
 
         monkeypatch.setattr(_kernels, name, counting)
     return blocks
 
 
-def scored_blocks(monkeypatch, case, objective, workers):
-    """Run ``case`` through ``brute_force`` counting its scored blocks,
-    check the golden result, and return (scorer, prefix rows, pairs) for
-    each block and the prefix rows covered."""
-    blocks = counted_blocks(monkeypatch, objective)
+def scored_blocks(monkeypatch, case, objective, workers, bounded=None):
+    """Run ``case`` through ``brute_force`` counting its scored blocks (and
+    in ``bounded``, the rows of its joint-bound passes), check the golden
+    result, and return (scorer, prefix rows, pairs) for each block and the
+    prefix rows covered."""
+    blocks = counted_blocks(monkeypatch, objective, bounded)
     instance = instances()[case]
     got, expected = run(instance, objective, workers), _expected()[(case, objective)]
     for key in ("objective_value", "schedule", "evaluations"):
@@ -115,13 +121,23 @@ def totals(blocks):
 
 
 def test_joint_bound_scores_few_par_rows(monkeypatch):
-    """One PAR range bounds each row by the heaviest suffix users placed
-    jointly and scores its best-bound row first: it scores 1 of the N=6
-    mix's 529 prefix rows (28 under the prefix-peak bound alone) and under
-    1% of the 10,164 of ``generate_instance(7, 1)`` (1,938 before)."""
-    blocks, covered = scored_blocks(monkeypatch, "n6-mix", "par", 1)
-    assert (totals(blocks)[0], covered) == (1, 529)
-    blocks = counted_blocks(monkeypatch, "par")
+    """One PAR range bounds rows by the heaviest suffix users placed
+    jointly and scores its best-bound row first, alone: it scores 1 of the
+    529 prefix rows of worst5 and of the N=6 mix (28 of the mix's under the
+    prefix-peak bound alone) and under 1% of the 10,164 of
+    ``generate_instance(7, 1)`` (1,938 before). It bounds rows jointly only
+    up to the first step of ``_FIRST`` rows holding that first row, then
+    only those that may still win: 64 of 529 rows on worst5 and on the mix
+    (all 529 when every row was bounded) and under half of gen(7, 1)'s
+    rows (1,984; all 10,164 before)."""
+    for case in ("worst5", "n6-mix"):
+        with monkeypatch.context() as patched:
+            bounded = []
+            blocks, covered = scored_blocks(patched, case, "par", 1, bounded)
+            assert (totals(blocks)[0], covered) == (1, 529)
+            assert 0 < sum(bounded) <= 64, case
+    bounded = []
+    blocks = counted_blocks(monkeypatch, "par", bounded)
     instance = a.generate_instance(7, 1)
     result = a.brute_force(instance, a.ObjectiveKind.PAR, limit=10**9, workers=1)
     assert float.hex(result.objective_value) == "0x1.5cd9271abf2dep+1"
@@ -129,6 +145,46 @@ def test_joint_bound_scores_few_par_rows(monkeypatch):
     _, size = _kernels._split_point(a.PlacementTable(instance).radices)
     assert result.evaluations // size == 10_164
     assert 0 < 100 * totals(blocks)[0] < 10_164
+    assert 0 < 2 * sum(bounded) < 10_164
+
+
+@pytest.mark.parametrize("first", [_kernels._FIRST, 1])
+@pytest.mark.parametrize("case", ["worst5", "n6-mix", "gen-6-3", "gen-7-1"])
+def test_first_par_row_has_the_least_joint_bound(case, first, monkeypatch):
+    """Zero slack, on the first piece of a one-worker PAR scan: as the
+    kernel computes them, every prefix row's joint bound is >= its simple
+    bound, and the row the scan scores first is the first row of least
+    joint bound, though the scan bounds rows jointly only up to the first
+    step, of ``first`` rows, that holds a row whose joint bound is the
+    lowest simple bound."""
+    instance = a.generate_instance(7, 1) if case == "gen-7-1" else instances()[case]
+    monkeypatch.setattr(_kernels, "_FIRST", first)
+    pieces, offers = [], []
+    scan_range, offer = _kernels.scan_range, _kernels.SharedScan.offer
+
+    def scan(lo, hi, shared):
+        pieces.append((lo, hi, shared))
+        scan_range(lo, hi, shared)
+
+    def recorded_offer(shared, value, index):
+        offers.append(index)
+        offer(shared, value, index)
+
+    monkeypatch.setattr(_kernels, "scan_range", scan)
+    monkeypatch.setattr(_kernels.SharedScan, "offer", recorded_offer)
+    a.brute_force(instance, a.ObjectiveKind.PAR, limit=10**9, workers=1)
+    lo, hi, shared = pieces[0]
+    table, size = shared.table, shared.size
+    rows = np.arange(lo // size, hi // size)
+    prefix = np.zeros((len(rows), len(table.coefficients)))
+    prefix = _kernels._loads(rows, table.user_rows()[: shared.m], prefix)
+    simple = par_ratio(
+        len(table.coefficients), np.maximum(prefix.max(1), shared.floor), table.total_energy
+    )
+    joint = simple.copy()
+    _kernels._joint_bound(shared, prefix, joint, np.arange(len(rows)))
+    assert shared.heavy_rows and (joint >= simple).all()
+    assert offers[0] // size == rows[np.argmin(joint)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
